@@ -1,5 +1,6 @@
 #include "serve/server.hh"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -69,6 +70,20 @@ ServeSocketServer::start()
     if (listenFd_ < 0) {
         CASCADE_LOG("serve: socket() failed: %s",
                     std::strerror(errno));
+        return false;
+    }
+    // Every reader polls this fd and then accepts, so the readers that
+    // lose the race for a connection must get EAGAIN instead of
+    // blocking in accept(), where stop() could never join them.
+    const int fl = ::fcntl(listenFd_, F_GETFL);
+    if (fl < 0 || ::fcntl(listenFd_, F_SETFL, fl | O_NONBLOCK) != 0) {
+        CASCADE_LOG("serve: cannot make the listen socket non-blocking: "
+                    "%s",
+                    std::strerror(errno));
+        if (::close(listenFd_) != 0)
+            CASCADE_LOG("serve: close failed: %s",
+                        std::strerror(errno));
+        listenFd_ = -1;
         return false;
     }
     // A stale socket file from a dead server blocks bind; remove it.

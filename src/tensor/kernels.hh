@@ -148,22 +148,6 @@ void unbindMetrics();
 
 } // namespace kernels
 
-/** @name Deprecated pre-kernels entry points
- * Thin wrappers kept for one release; new code calls kernels::gemm /
- * kernels::transpose. No caller inside this repository references the
- * transpose variants any more (enforced by tools/check.sh).
- */
-/** @{ */
-[[deprecated("use kernels::gemm(Trans::None, Trans::None, ...)")]]
-Tensor matmulRaw(const Tensor &a, const Tensor &b);
-[[deprecated("use kernels::gemm(Trans::Transpose, Trans::None, ...)")]]
-Tensor matmulTransARaw(const Tensor &a, const Tensor &b);
-[[deprecated("use kernels::gemm(Trans::None, Trans::Transpose, ...)")]]
-Tensor matmulTransBRaw(const Tensor &a, const Tensor &b);
-[[deprecated("use kernels::transpose")]]
-Tensor transposeRaw(const Tensor &a);
-/** @} */
-
 } // namespace cascade
 
 #endif // CASCADE_TENSOR_KERNELS_HH

@@ -468,7 +468,6 @@ TgnnModel::step(const EventSource &data, const TemporalAdjacency &adj,
         result.memCosine = applyWriteback(data, f.writeback);
         result.updatedNodes = std::move(f.writeback.nodes);
     }
-    recordStepMetrics(result);
     return result;
 }
 

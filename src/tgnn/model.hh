@@ -231,7 +231,11 @@ class TgnnModel
     CASCADE_TRAJECTORY
     void advanceState(const EventSource &data, size_t st, size_t ed);
 
-    /** Bump the bound model.* counters for one completed step. */
+    /**
+     * Bump the bound model.* counters for one admitted training
+     * batch. The trainer calls it from its commit stage; step() does
+     * not, so rolled-back batches and evaluation steps count nothing.
+     */
     void recordStepMetrics(const StepResult &r);
 
     /** Direct mutable access for the pipeline's watermark updates. */
@@ -365,8 +369,8 @@ class TgnnModel
 
     /**
      * Publish the model's per-step work accounting (`model.steps`,
-     * `model.events`, `model.work_rows`, `model.sampled_neighbors`)
-     * and size gauges into `registry`. Purely additive: the StepResult
+     * `model.events`, `model.work_rows`, `model.sampled_neighbors`;
+     * see recordStepMetrics) and size gauges into `registry`. Purely additive: the StepResult
      * fields stay the source of truth for the trainer. The registry
      * must outlive the binding: a model routinely outlives its
      * TrainingSession (evalLoss/embedNodes after training), so the

@@ -1,84 +1,18 @@
 #include "train/pipeline.hh"
 
 #include <algorithm>
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <thread>
 #include <utility>
-#include <vector>
 
-#include "train/session.hh"
-#include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/queue.hh"
 #include "util/thread_annotations.hh"
 #include "util/timer.hh"
 
 namespace cascade {
-
-namespace {
-
-/** Stage execution scope: trace span + seconds histogram sample. */
-class StageScope
-{
-  public:
-    StageScope(obs::Histogram &hist, obs::TraceRecorder &trace,
-               const char *name)
-        : hist_(hist), span_(trace.span(name, "pipeline"))
-    {}
-
-    ~StageScope()
-    {
-        span_.end();
-        hist_.record(timer_.seconds());
-    }
-
-    StageScope(const StageScope &) = delete;
-    StageScope &operator=(const StageScope &) = delete;
-
-  private:
-    obs::Histogram &hist_;
-    Timer timer_;
-    obs::TraceRecorder::Span span_;
-};
-
-/** Boundary worker -> model thread: one planned batch. */
-struct BatchPlan
-{
-    uint64_t seg = 0; ///< segment-local batch ordinal
-    size_t st = 0;
-    size_t ed = 0;
-};
-
-/** Model thread -> update worker: deferred state mutation. */
-struct WritebackJob
-{
-    uint64_t seg = 0;
-    TgnnModel::PendingWriteback wb;
-    // Feedback payload, forwarded once the verdict admits the batch.
-    size_t batchIndex = 0;
-    double loss = 0.0;
-    size_t numEvents = 0;
-    size_t workRows = 0;
-    size_t sampledNeighbors = 0;
-};
-
-/** Update worker -> boundary worker: admitted-batch feedback. */
-struct FeedbackEntry
-{
-    uint64_t seg = 0;
-    size_t batchIndex = 0;
-    size_t st = 0;
-    size_t ed = 0;
-    double loss = 0.0;
-    std::vector<NodeId> updatedNodes;
-    std::vector<double> memCosine;
-    size_t numEvents = 0;
-    size_t workRows = 0;
-    size_t sampledNeighbors = 0;
-};
-
-} // namespace
 
 /**
  * Shared pipeline state. One coordination mutex (m) carries the
@@ -89,8 +23,10 @@ struct FeedbackEntry
  */
 struct TrainingPipeline::State
 {
-    explicit State(size_t depth)
-        : planQ(depth), updateQ(depth), ckptQ(2)
+    State(size_t depth, obs::MetricsRegistry &mx)
+        : planQ(depth), updateQ(depth), ckptQ(2),
+          stall(mx.histogram("pipeline.stall_seconds")),
+          updateDepth(mx.gauge("pipeline.update_queue_depth"))
     {}
 
     AnnotatedMutex m;
@@ -104,8 +40,8 @@ struct TrainingPipeline::State
     uint64_t modelDone CASCADE_GUARDED_BY(m) = 0;
     /** Guard verdicts by segment ordinal (erased when consumed). */
     std::map<uint64_t, bool> verdicts CASCADE_GUARDED_BY(m);
-    /** Admitted-batch feedback awaiting the boundary worker. */
-    std::deque<FeedbackEntry> feedback CASCADE_GUARDED_BY(m);
+    /** Admitted batches awaiting feedback on the boundary worker. */
+    std::deque<Batch> feedback CASCADE_GUARDED_BY(m);
     /** Hard stop: discard in-flight work (rollback / crash). */
     bool aborted CASCADE_GUARDED_BY(m) = false;
     /** Graceful stop: no new plans, finish in-flight (overload). */
@@ -118,50 +54,97 @@ struct TrainingPipeline::State
      *  the model thread vs applyWriteback on the update worker). */
     AnnotatedMutex memLock;
 
-    BoundedQueue<BatchPlan> planQ;
-    BoundedQueue<WritebackJob> updateQ;
+    BoundedQueue<Batch> planQ;   ///< boundary worker -> model thread
+    BoundedQueue<Batch> updateQ; ///< model thread -> update worker
     BoundedQueue<std::string> ckptQ;
+
+    obs::Histogram &stall;
+    obs::Gauge &updateDepth;
 };
 
-TrainingPipeline::TrainingPipeline(const Env &env, const Config &config)
-    : env_(env), cfg_(config)
+TrainingPipeline::TrainingPipeline(TrainingSession &session)
+    : s_(session)
 {
-    CASCADE_CHECK(cfg_.depth > 0, "pipeline depth must be >= 1");
-    CASCADE_CHECK(env_.model && env_.data && env_.adj && env_.batcher &&
-                      env_.guard && env_.supervisor && env_.device &&
-                      env_.metrics && env_.trace && env_.cursor &&
-                      env_.lastGood,
-                  "TrainingPipeline: incomplete wiring");
+    CASCADE_CHECK(s_.depth_ > 0, "pipeline depth must be >= 1");
+    st_ = std::make_unique<State>(s_.depth_, *s_.metrics_);
+    s_.pipeline_ = this;
 }
 
-PipelineOutcome
+TrainingPipeline::~TrainingPipeline()
+{
+    s_.pipeline_ = nullptr;
+}
+
+AnnotatedMutex &
+TrainingPipeline::memoryLock()
+{
+    return st_->memLock;
+}
+
+void
+TrainingPipeline::handoff(const Batch &b, TgnnModel::Forward &f)
+{
+    // The update worker needs the plan, the deferred writeback and
+    // the forward's loss and work counts for the batch's feedback.
+    Batch job = b;
+    job.result = f.result;
+    job.writeback = std::move(f.writeback);
+    const bool queued = st_->updateQ.push(std::move(job));
+    CASCADE_CHECK(queued, "update queue closed while the model stage runs");
+    st_->updateDepth.set(static_cast<double>(st_->updateQ.size()));
+}
+
+void
+TrainingPipeline::drainThrough(const Batch &b)
+{
+    Timer barrier;
+    UniqueLock lock(st_->m);
+    while (st_->writebackApplied < b.seg + 1 ||
+           st_->feedbackApplied < b.seg + 1) {
+        st_->cv.wait(lock);
+    }
+    st_->stall.record(barrier.seconds());
+}
+
+void
+TrainingPipeline::queueWrite(const std::string &payload)
+{
+    if (s_.options_.checkpointPath.empty())
+        return;
+    st_->ckptQ.push(payload);
+    s_.metrics_->gauge("pipeline.checkpoint_queue_depth")
+        .set(static_cast<double>(st_->ckptQ.size()));
+}
+
+TrainingSession::BatchOutcome
 TrainingPipeline::runSegment()
 {
-    State st(cfg_.depth);
-    obs::MetricsRegistry &mx = *env_.metrics;
-    obs::TraceRecorder &tr = *env_.trace;
-    TrainerCursor &cur = *env_.cursor;
-    const size_t S = cfg_.staleness;
-    const uint64_t g0 = cur.globalBatch;        // starting global batch
-    const uint64_t b0 = cur.batchIndex;         // starting epoch batch
-    const size_t startSt = static_cast<size_t>(cur.st);
+    using BatchOutcome = TrainingSession::BatchOutcome;
+    State &st = *st_;
+    TrainingSession &s = s_;
+    obs::MetricsRegistry &mx = *s.metrics_;
+    const size_t S = s.options_.stalenessBound;
+    const uint64_t every = s.options_.checkpointEvery;
+    const double overload_ms = s.options_.supervisor.stageDeadlineMs;
+    const uint64_t g0 = s.cur_.globalBatch;        // starting global batch
+    const uint64_t b0 = s.cur_.batchIndex;         // starting epoch batch
+    const size_t startSt = static_cast<size_t>(s.cur_.st);
 
     // Fresh staleness epoch: watermarks are segment-local ordinals.
-    env_.model->memoryMutable().clearStaleness();
-    env_.model->mailboxMutable().clearStaleness();
+    s.model_.memoryMutable().clearStaleness();
+    s.model_.mailboxMutable().clearStaleness();
 
     mx.counter("pipeline.segments").add(1);
-    auto seg_span = tr.span("pipeline-segment", "pipeline");
+    auto seg_span = s.trace_->span("pipeline-segment", "pipeline");
     Timer seg_wall;
 
     // Smallest cadence ordinal >= from (UINT64_MAX when no cadence).
     // Ordinal c is a cadence point iff the post-increment global
     // batch (g0 + c + 1) hits the checkpoint cadence — the same test
-    // the synchronous snapshotIfDue applies after advancing.
-    const auto next_cadence = [this, g0](uint64_t from) -> uint64_t {
-        if (cfg_.checkpointEvery == 0)
+    // commitStage applies after advancing.
+    const auto next_cadence = [every, g0](uint64_t from) -> uint64_t {
+        if (every == 0)
             return UINT64_MAX;
-        const uint64_t every = cfg_.checkpointEvery;
         const uint64_t r = (g0 + from + 1) % every;
         return from + ((every - r) % every);
     };
@@ -175,29 +158,18 @@ TrainingPipeline::runSegment()
         obs::Gauge &depth_g = mx.gauge("pipeline.plan_queue_depth");
 
         // Apply one admitted batch's feedback to device + batcher.
-        const auto apply_feedback = [&](FeedbackEntry &fe) {
+        const auto apply_feedback = [&](const Batch &fb) {
             TimerGuard busy(boundary_busy);
-            StageScope stage(mx.histogram("stage.feedback.seconds"),
-                             tr, "feedback");
-            env_.device->charge(fe.numEvents, fe.workRows,
-                                fe.sampledNeighbors);
-            BatchFeedback fb;
-            fb.batchIndex = fe.batchIndex;
-            fb.st = fe.st;
-            fb.ed = fe.ed;
-            fb.loss = fe.loss;
-            fb.updatedNodes = &fe.updatedNodes;
-            fb.memCosine = &fe.memCosine;
-            env_.batcher->onBatchDone(fb);
+            s.feedbackStage(fb);
             LockGuard lock(st.m);
-            st.feedbackApplied = fe.seg + 1;
+            st.feedbackApplied = fb.seg + 1;
             st.cv.notify_all();
         };
 
         uint64_t issued = 0;
         size_t st_cur = startSt;
         bool stopped = false;
-        while (!stopped && st_cur < env_.trainEnd) {
+        while (!stopped && st_cur < s.trainEnd_) {
             const uint64_t j = issued;
             const uint64_t need_fb = j > S ? j - S : 0;
             // Gate: feedback caught up to the staleness schedule and
@@ -206,8 +178,8 @@ TrainingPipeline::runSegment()
             // the wait so the model thread's barriers can make
             // progress while we are blocked here.
             for (;;) {
-                FeedbackEntry fe;
-                bool have_fe = false;
+                Batch fb;
+                bool have_fb = false;
                 {
                     UniqueLock lock(st.m);
                     while (true) {
@@ -216,9 +188,9 @@ TrainingPipeline::runSegment()
                             break;
                         }
                         if (!st.feedback.empty()) {
-                            fe = std::move(st.feedback.front());
+                            fb = std::move(st.feedback.front());
                             st.feedback.pop_front();
-                            have_fe = true;
+                            have_fb = true;
                             break;
                         }
                         if (st.feedbackApplied >= need_fb &&
@@ -232,8 +204,8 @@ TrainingPipeline::runSegment()
                 }
                 if (stopped)
                     break;
-                if (have_fe) {
-                    apply_feedback(fe);
+                if (have_fb) {
+                    apply_feedback(fb);
                     continue;
                 }
                 break; // gate satisfied
@@ -241,40 +213,16 @@ TrainingPipeline::runSegment()
             if (stopped)
                 break;
 
-            // Stage `boundary` under the Supervisor's retry budget and
-            // the batcher degradation ladder — the synchronous loop's
-            // semantics, executed one stage ahead.
-            size_t ed = 0;
+            Batch plan;
+            plan.seg = j;
+            plan.globalBatch = g0 + j;
+            plan.batchIndex = static_cast<size_t>(b0 + j);
+            plan.st = st_cur;
             {
                 TimerGuard busy(boundary_busy);
-                StageScope stage(
-                    mx.histogram("stage.boundary.seconds"), tr,
-                    "boundary");
-                auto wd = env_.supervisor->watch("boundary");
-                while (!env_.supervisor->runSupervised("boundary", [&] {
-                           ed = env_.batcher->next(st_cur);
-                           return true;
-                       })) {
-                    const std::string mode = env_.batcher->degradeOnce();
-                    if (mode.empty()) {
-                        CASCADE_LOG(
-                            "boundary stage still failing with the "
-                            "degradation ladder exhausted: %s",
-                            env_.supervisor->lastError().c_str());
-                        CASCADE_FATAL("batch-boundary stage failed "
-                                      "beyond the degradation ladder");
-                    }
-                    if (env_.onDegrade)
-                        env_.onDegrade(mode);
-                }
+                plan.ed = s.boundaryStage(st_cur);
             }
-            CASCADE_CHECK(ed > st_cur && ed <= env_.trainEnd,
-                          "batcher returned a bad range");
-
-            BatchPlan plan;
-            plan.seg = j;
-            plan.st = st_cur;
-            plan.ed = ed;
+            const size_t ed = plan.ed;
             if (!st.planQ.push(std::move(plan)))
                 break; // closed: hard abort
             depth_g.set(static_cast<double>(st.planQ.size()));
@@ -291,7 +239,7 @@ TrainingPipeline::runSegment()
         // Drain: keep applying feedback for already-issued plans so
         // the model thread's barriers and final drain can complete.
         for (;;) {
-            FeedbackEntry fe;
+            Batch fb;
             {
                 UniqueLock lock(st.m);
                 while (!st.aborted && st.feedback.empty() &&
@@ -303,10 +251,10 @@ TrainingPipeline::runSegment()
                      st.feedbackApplied >= issued)) {
                     break;
                 }
-                fe = std::move(st.feedback.front());
+                fb = std::move(st.feedback.front());
                 st.feedback.pop_front();
             }
-            apply_feedback(fe);
+            apply_feedback(fb);
         }
     });
 
@@ -314,7 +262,7 @@ TrainingPipeline::runSegment()
     std::thread update_thread([&] {
         obs::Histogram &stall_h =
             mx.histogram("pipeline.update_stall_seconds");
-        WritebackJob job;
+        Batch job;
         for (;;) {
             Timer stall;
             if (!st.updateQ.pop(job))
@@ -325,54 +273,35 @@ TrainingPipeline::runSegment()
                 if (st.aborted)
                     continue; // rollback/crash: discard in flight
             }
+            TimerGuard busy(update_busy);
+            TrainingSession::StageScope stage(
+                mx.histogram("stage.update.seconds"), *s.trace_, "update");
+            auto wd = s.supervisor_->watch("update");
             {
-                TimerGuard busy(update_busy);
-                StageScope stage(mx.histogram("stage.update.seconds"),
-                                 tr, "update");
-                auto wd = env_.supervisor->watch("update");
-                std::vector<double> cos;
-                {
-                    LockGuard mem(st.memLock);
-                    cos = env_.model->applyWriteback(*env_.data, job.wb,
-                                                     job.seg + 1);
-                    env_.model->memoryMutable().markBatchApplied(
-                        job.seg + 1);
-                    env_.model->mailboxMutable().markBatchApplied(
-                        job.seg + 1);
-                }
-                FeedbackEntry fe;
-                fe.seg = job.seg;
-                fe.batchIndex = job.batchIndex;
-                fe.st = job.wb.st;
-                fe.ed = job.wb.ed;
-                fe.loss = job.loss;
-                fe.updatedNodes = std::move(job.wb.nodes);
-                fe.memCosine = std::move(cos);
-                fe.numEvents = job.numEvents;
-                fe.workRows = job.workRows;
-                fe.sampledNeighbors = job.sampledNeighbors;
+                LockGuard mem(st.memLock);
+                s.writebackStage(job, job.seg + 1);
+                s.model_.memoryMutable().markBatchApplied(job.seg + 1);
+                s.model_.mailboxMutable().markBatchApplied(job.seg + 1);
+            }
 
-                bool admitted = false;
-                {
-                    UniqueLock lock(st.m);
-                    st.writebackApplied = job.seg + 1;
-                    st.cv.notify_all();
-                    // Wait for the guard verdict before forwarding
-                    // feedback: a rolled-back batch contributes none.
-                    while (!st.aborted) {
-                        auto it = st.verdicts.find(job.seg);
-                        if (it != st.verdicts.end()) {
-                            admitted = it->second;
-                            st.verdicts.erase(it);
-                            break;
-                        }
-                        st.cv.wait(lock);
-                    }
-                    if (admitted) {
-                        st.feedback.push_back(std::move(fe));
-                        st.cv.notify_all();
-                    }
+            UniqueLock lock(st.m);
+            st.writebackApplied = job.seg + 1;
+            st.cv.notify_all();
+            // Wait for the guard verdict before forwarding feedback: a
+            // rolled-back batch contributes none.
+            bool admitted = false;
+            while (!st.aborted) {
+                auto it = st.verdicts.find(job.seg);
+                if (it != st.verdicts.end()) {
+                    admitted = it->second;
+                    st.verdicts.erase(it);
+                    break;
                 }
+                st.cv.wait(lock);
+            }
+            if (admitted) {
+                st.feedback.push_back(std::move(job));
+                st.cv.notify_all();
             }
         }
     });
@@ -388,18 +317,16 @@ TrainingPipeline::runSegment()
                 break;
             stall_h.record(stall.seconds());
             TimerGuard busy(writer_busy);
-            StageScope stage(mx.histogram("stage.checkpoint.seconds"),
-                             tr, "checkpoint-write");
-            if (env_.writeCheckpoint)
-                env_.writeCheckpoint(payload, "checkpoint");
+            TrainingSession::StageScope stage(
+                mx.histogram("stage.checkpoint.seconds"), *s.trace_,
+                "checkpoint-write");
+            s.writeCheckpoint(payload, "checkpoint");
         }
     });
 
     // ---- model thread (this thread) --------------------------------
-    obs::Histogram &stall_h = mx.histogram("pipeline.stall_seconds");
     obs::Histogram &staleness_h =
         mx.histogram("pipeline.memory_staleness");
-    obs::Gauge &updepth_g = mx.gauge("pipeline.update_queue_depth");
     uint64_t max_staleness = 0;
     int overload_strikes = 0;
     bool overloaded = false;
@@ -419,17 +346,22 @@ TrainingPipeline::runSegment()
         st.ckptQ.close(); // writer drains queued snapshots, then exits
         writer_thread.join();
     };
+    const auto publish_verdict = [&](uint64_t j, bool admitted) {
+        LockGuard lock(st.m);
+        st.verdicts[j] = admitted;
+        st.cv.notify_all();
+    };
 
-    BatchPlan plan;
+    Batch b;
     for (;;) {
         Timer stall;
-        if (!st.planQ.pop(plan))
+        if (!st.planQ.pop(b))
             break; // boundary finished (or aborted — not from here)
-        const uint64_t j = plan.seg;
+        const uint64_t j = b.seg;
 
         // Staleness gate: forward(j) may run once writebacks through
         // j-S are in. S=0 degenerates to "everything before j" — the
-        // synchronous data flow.
+        // inline data flow.
         uint64_t wb_applied;
         {
             const uint64_t need_wb = j > S ? j - S : 0;
@@ -441,20 +373,21 @@ TrainingPipeline::runSegment()
         const uint64_t stale = j - (wb_applied > j ? j : wb_applied);
         CASCADE_CHECK(stale <= S,
                       "staleness bound violated at the model gate");
+        b.memStaleness = static_cast<size_t>(stale);
         staleness_h.record(static_cast<double>(stale));
         max_staleness = std::max(max_staleness, stale);
 
         const double stall_s = stall.seconds();
-        stall_h.record(stall_s);
-        if (cfg_.overloadDeadlineMs > 0.0) {
-            if (stall_s * 1e3 > cfg_.overloadDeadlineMs) {
+        st.stall.record(stall_s);
+        if (overload_ms > 0.0) {
+            if (stall_s * 1e3 > overload_ms) {
                 if (++overload_strikes >= kOverloadStrikes &&
                     !overloaded) {
                     overloaded = true;
                     CASCADE_LOG(
                         "pipeline overloaded: model stage stalled "
                         ">%g ms for %d consecutive batches",
-                        cfg_.overloadDeadlineMs, kOverloadStrikes);
+                        overload_ms, kOverloadStrikes);
                     LockGuard lock(st.m);
                     st.draining = true;
                     st.cv.notify_all();
@@ -464,155 +397,32 @@ TrainingPipeline::runSegment()
             }
         }
 
-        // Stage `model`: forward under the memory lock, deferred
-        // writeback handed to the update worker, then backward +
-        // optimizer overlap with it.
-        TgnnModel::Forward fwd;
         {
             TimerGuard busy(model_busy);
-            StageScope stage(mx.histogram("stage.model.seconds"), tr,
-                             "model");
-            auto wd = env_.supervisor->watch("model");
-            {
-                LockGuard mem(st.memLock);
-                fwd = env_.model->stepForward(*env_.data, *env_.adj,
-                                              plan.st, plan.ed);
-            }
-            WritebackJob job;
-            job.seg = j;
-            job.wb = std::move(fwd.writeback);
-            job.batchIndex = static_cast<size_t>(b0 + j);
-            job.loss = fwd.result.loss;
-            job.numEvents = fwd.result.numEvents;
-            job.workRows = fwd.result.workRows;
-            job.sampledNeighbors = fwd.result.sampledNeighbors;
-            if (!job.wb.active) {
-                // Identity-memory models have no writeback, but the
-                // job still flows through so watermarks + feedback
-                // keep their uniform schedule.
-                job.wb.st = plan.st;
-                job.wb.ed = plan.ed;
-            }
-            if (!st.updateQ.push(std::move(job)))
-                break; // closed: abort (cannot happen from here)
-            updepth_g.set(static_cast<double>(st.updateQ.size()));
-            env_.model->stepBackward(fwd);
+            s.modelStage(b);
         }
-        StepResult &r = fwd.result;
-        const uint64_t gb = cur.globalBatch;
-        if (fault::maybeInjectNan(gb, r.loss)) {
-            CASCADE_LOG("fault injection: NaN loss at batch %llu",
-                        (unsigned long long)gb);
-        }
-
-        // Stage `guard`: numeric admission; a trip quiesces the whole
-        // pipeline and restores the last good snapshot.
-        bool admitted;
-        {
-            StageScope stage(mx.histogram("stage.guard.seconds"), tr,
-                             "guard");
-            admitted = env_.guard->admit(r.loss, r.gradNorm);
-        }
-        if (!admitted) {
-            CASCADE_LOG("numeric guard tripped at batch %llu: %s",
-                        (unsigned long long)gb,
-                        env_.guard->lastReason().c_str());
-            if (env_.guard->exhausted()) {
-                CASCADE_FATAL("numeric guard: retry budget exhausted; "
-                              "training keeps diverging after "
-                              "rollbacks");
-            }
-            {
-                LockGuard lock(st.m);
-                st.verdicts[j] = false;
-                st.cv.notify_all();
-            }
+        if (!s.admitStage(b)) {
+            // A trip quiesces the whole pipeline before the restore.
+            publish_verdict(j, false);
             quiesce(/*hard=*/true);
-            CASCADE_CHECK(decodeCheckpoint(*env_.lastGood, *env_.model,
-                                           *env_.batcher, cur),
-                          "rollback snapshot failed to apply");
-            env_.batcher->onNumericRollback();
-            mx.counter("train.rollbacks").add(1);
-            CASCADE_LOG("rolled back to epoch %llu batch %llu",
-                        (unsigned long long)cur.epoch,
-                        (unsigned long long)cur.batchIndex);
+            s.rollback();
             rolled_back = true;
             break;
         }
-        {
-            LockGuard lock(st.m);
-            st.verdicts[j] = true;
-            st.cv.notify_all();
-        }
+        publish_verdict(j, true);
 
-        // Cursor + accounting: the model thread owns the cursor, as
-        // the synchronous loop's caller thread did.
-        cur.lossSum += r.loss * r.numEvents;
-        cur.epochEvents += r.numEvents;
-        cur.totalEvents += r.numEvents;
-        ++cur.batchIndex;
-        ++cur.totalBatches;
-        ++cur.globalBatch;
-        cur.st = plan.ed;
-        mx.counter("train.batches").add(1);
         mx.counter("pipeline.batches").add(1);
-        mx.counter("train.events").add(r.numEvents);
-        mx.histogram("train.batch_size")
-            .record(static_cast<double>(r.numEvents));
-        env_.model->recordStepMetrics(r);
-
-        if (env_.observer && *env_.observer) {
-            BatchRecord rec;
-            rec.globalBatch = gb;
-            rec.epoch = static_cast<size_t>(cur.epoch);
-            rec.st = plan.st;
-            rec.ed = plan.ed;
-            rec.loss = r.loss;
-            rec.numEvents = r.numEvents;
-            rec.memStaleness = static_cast<size_t>(stale);
-            (*env_.observer)(rec);
-        }
-
-        // Stage `checkpoint` (cadence): drain-then-snapshot barrier.
-        // Every in-flight batch must land before the encode so the
-        // payload byte-matches the synchronous run's; the disk write
-        // itself is handed to the writer thread.
-        if (cfg_.checkpointEvery != 0 &&
-            cur.globalBatch % cfg_.checkpointEvery == 0) {
-            StageScope stage(mx.histogram("stage.checkpoint.seconds"),
-                             tr, "checkpoint");
-            {
-                Timer barrier;
-                UniqueLock lock(st.m);
-                while (st.writebackApplied < j + 1 ||
-                       st.feedbackApplied < j + 1) {
-                    st.cv.wait(lock);
-                }
-                stall_h.record(barrier.seconds());
-            }
-            *env_.lastGood =
-                encodeCheckpoint(*env_.model, *env_.batcher, cur);
-            mx.counter("checkpoint.snapshots").add(1);
-            if (env_.wantDiskCheckpoints) {
-                st.ckptQ.push(*env_.lastGood);
-                mx.gauge("pipeline.checkpoint_queue_depth")
-                    .set(static_cast<double>(st.ckptQ.size()));
-            }
-        }
+        const bool alive = s.commitStage(b);
         {
             LockGuard lock(st.m);
             st.modelDone = j + 1;
             st.cv.notify_all();
         }
-
-        if (fault::crashAfter(gb)) {
-            CASCADE_LOG("fault injection: simulated crash after "
-                        "batch %llu",
-                        (unsigned long long)gb);
+        if (!alive) {
             crashed = true;
             // Hard stop — but the writer queue still drains inside
             // quiesce(), so cadence snapshots taken before the crash
-            // reach disk exactly as the synchronous loop's did.
+            // reach disk exactly as the inline driver's did.
             quiesce(/*hard=*/true);
             break;
         }
@@ -651,14 +461,14 @@ TrainingPipeline::runSegment()
     seg_span.end();
 
     if (rolled_back)
-        return PipelineOutcome::RolledBack;
+        return BatchOutcome::RolledBack;
     if (crashed)
-        return PipelineOutcome::Crashed;
+        return BatchOutcome::Crashed;
     if (overloaded) {
         mx.counter("pipeline.overloads").add(1);
-        return PipelineOutcome::Overloaded;
+        return BatchOutcome::Overloaded;
     }
-    return PipelineOutcome::Completed;
+    return BatchOutcome::Completed;
 }
 
 } // namespace cascade

@@ -1,142 +1,107 @@
 /**
  * @file
- * Staleness-aware asynchronous training pipeline (DESIGN.md §12).
+ * The threaded batch driver (DESIGN.md §12).
  *
- * The synchronous TrainingSession runs each global batch through
- * boundary → model → guard → feedback → checkpoint in lockstep. This
- * orchestrator overlaps those stages across *batches* behind bounded
+ * TrainingSession (train/session.hh) writes each stage body once:
+ * boundary, model, writeback, feedback, and the guard/commit pair. At
+ * `pipelineDepth == 0` its inline driver calls them in order on the
+ * caller thread. At depth >= 1 this driver calls the same bodies from
+ * four threads, overlapping them across *batches* behind bounded
  * queues, MSPipe-style, with the memory-update dependency relaxed by
  * an explicit bounded staleness S:
  *
- *   boundary worker   pulls feedback, runs Batcher::next under the
- *                     Supervisor's retry/degradation ladder, pushes
- *                     BatchPlans into the bounded plan queue
- *   model thread      (the caller) pops plans, runs stepForward /
- *                     stepBackward + guard, publishes verdicts, owns
- *                     the cursor, the observer and cadence snapshots
- *   update worker     applies deferred memory writebacks + message
- *                     generation, then forwards admitted batches'
- *                     feedback to the boundary worker
- *   checkpoint writer drains encoded snapshots to disk through the
+ *   boundary worker   applies admitted batches' feedback
+ *                     (feedbackStage), runs boundaryStage and pushes
+ *                     planned batches into the plan queue (capacity =
+ *                     depth)
+ *   model thread      (the caller) pops plans and runs modelStage —
+ *                     whose forward hands the deferred writeback to
+ *                     the update worker — then admitStage and
+ *                     commitStage, which owns the cursor, the observer
+ *                     and cadence snapshots
+ *   update worker     runs writebackStage in batch order, then
+ *                     forwards admitted batches to the boundary
+ *                     worker's feedback
+ *   checkpoint writer drains cadence snapshots to disk through the
  *                     session's supervised write path
  *
  * Dependency schedule (segment-local batch ordinals j):
  *   - model(j) may start only when writebacks through j-S have been
  *     applied: node memory is read at most S batches stale. S=0
- *     forces writeback(j-1) before forward(j) — the synchronous
- *     data flow, hence bit-identical trajectories (the overlap that
- *     remains is writeback(j) against backward(j), which touch
- *     disjoint state, plus asynchronous checkpoint writes).
+ *     forces writeback(j-1) before forward(j) — the inline data flow,
+ *     hence bit-identical trajectories (the overlap that remains is
+ *     writeback(j) against backward(j), which touch disjoint state,
+ *     plus asynchronous checkpoint writes).
  *   - boundary(j) may run once feedback through j-S has been applied
  *     to the batcher, and never crosses an unfinished checkpoint
  *     cadence point (the drain-then-snapshot barrier: a snapshot is
  *     encoded only with zero batches in flight, so every checkpoint
- *     byte-matches the synchronous run's).
+ *     byte-matches the inline run's).
  *
- * Failure semantics mirror the synchronous loop: boundary failures
- * walk the batcher degradation ladder, guard trips quiesce the
- * pipeline and roll back to the last good snapshot, injected crashes
- * drain then stop, and a model thread stalled past the watchdog
- * deadline for consecutive batches reports Overloaded so the session
- * can degrade to the synchronous path for the rest of the run.
+ * Failure handling lives in the shared bodies: boundary failures walk
+ * the batcher degradation ladder, and a guard trip makes this driver
+ * quiesce before TrainingSession::rollback. Injected crashes drain
+ * then stop. A model thread stalled past the watchdog deadline for
+ * consecutive batches ends the segment Overloaded, and the session
+ * continues the same bodies at depth 0.
  */
 
 #ifndef CASCADE_TRAIN_PIPELINE_HH
 #define CASCADE_TRAIN_PIPELINE_HH
 
-#include <cstdint>
-#include <functional>
+#include <memory>
 #include <string>
 
-#include "graph/adjacency.hh"
-#include "graph/event.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "sim/device_model.hh"
-#include "tgnn/model.hh"
-#include "train/batcher.hh"
-#include "train/checkpoint.hh"
-#include "train/numeric_guard.hh"
-#include "train/supervisor.hh"
+#include "train/session.hh"
 #include "util/determinism.hh"
+#include "util/thread_annotations.hh"
 
 namespace cascade {
 
-struct BatchRecord;
-
-/** How a pipelined segment ended. */
-enum class PipelineOutcome
-{
-    Completed, ///< cursor reached the epoch's train end
-    RolledBack,///< guard trip; state restored to the last snapshot
-    Crashed,   ///< injected crash; run ends interrupted
-    Overloaded ///< persistent stalls; degrade to the synchronous loop
-};
-
 /**
- * One pipelined epoch segment: from the current cursor to trainEnd.
- * Construct per attempt (cheap — three threads for a seconds-long
- * segment); the TrainingSession re-enters with a fresh instance after
- * a rollback.
+ * One pipelined epoch segment: from the session's cursor to its train
+ * end. Construct per attempt (cheap — three threads for a seconds-long
+ * segment); the session re-enters with a fresh instance after a
+ * rollback. While it exists, the session's stage bodies route their
+ * pipeline hooks to it.
  */
 class TrainingPipeline
 {
   public:
-    /** Borrowed wiring; everything must outlive runSegment(). */
-    struct Env
-    {
-        TgnnModel *model = nullptr;
-        const EventSource *data = nullptr;
-        const TemporalAdjacency *adj = nullptr;
-        size_t trainEnd = 0;
-        Batcher *batcher = nullptr;
-        NumericGuard *guard = nullptr;
-        Supervisor *supervisor = nullptr;
-        DeviceModel *device = nullptr;
-        obs::MetricsRegistry *metrics = nullptr;
-        obs::TraceRecorder *trace = nullptr;
-        TrainerCursor *cursor = nullptr;
-        /** In-memory rollback target (shared with the session). */
-        std::string *lastGood = nullptr;
-        /** Queue cadence snapshots to the writer thread (false when
-         *  no checkpoint path is set or writes were disabled). */
-        bool wantDiskCheckpoints = false;
-        /** Admitted-batch observer (may be empty). */
-        const std::function<void(const BatchRecord &)> *observer =
-            nullptr;
-        /** The session's supervised checkpoint write (thread-safe;
-         *  called from the writer thread only while a segment runs). */
-        std::function<void(const std::string &, const char *)>
-            writeCheckpoint;
-        /** Degradation-ladder bookkeeping (metric + trace + report). */
-        std::function<void(const std::string &)> onDegrade;
-    };
+    explicit TrainingPipeline(TrainingSession &session);
+    ~TrainingPipeline();
 
-    struct Config
-    {
-        size_t depth = 2;          ///< plan-queue capacity (>= 1)
-        size_t staleness = 0;      ///< bound S in batches
-        size_t checkpointEvery = 0;///< cadence in global batches
-        /** Model-thread stall budget per batch (ms). After
-         *  `kOverloadStrikes` consecutive over-budget batches the
-         *  segment returns Overloaded. <= 0 disables detection. */
-        double overloadDeadlineMs = 0.0;
-    };
-
-    TrainingPipeline(const Env &env, const Config &config);
+    TrainingPipeline(const TrainingPipeline &) = delete;
+    TrainingPipeline &operator=(const TrainingPipeline &) = delete;
 
     /** Run until epoch end / rollback / crash / overload. */
     CASCADE_TRAJECTORY
-    PipelineOutcome runSegment();
+    TrainingSession::BatchOutcome runSegment();
 
     /** Consecutive over-deadline batches that trigger Overloaded. */
     static constexpr int kOverloadStrikes = 3;
 
   private:
+    /** The stage bodies call the hooks below while a segment runs. */
+    friend class TrainingSession;
+    using Batch = TrainingSession::Batch;
+
+    /** Serializes the forward's memory reads against writebacks. */
+    AnnotatedMutex &memoryLock();
+
+    /** Hand the forward's deferred writeback to the update worker. */
+    void handoff(const Batch &b, TgnnModel::Forward &f);
+
+    /** Drain-then-snapshot barrier: wait until `b` fully landed. */
+    void drainThrough(const Batch &b);
+
+    /** Queue a cadence snapshot for the checkpoint writer. */
+    void queueWrite(const std::string &payload);
+
     struct State;
 
-    Env env_;
-    Config cfg_;
+    TrainingSession &s_;
+    std::unique_ptr<State> st_;
 };
 
 } // namespace cascade

@@ -12,37 +12,6 @@
 
 namespace cascade {
 
-namespace {
-
-/**
- * One stage execution: a trace span plus a sample in the stage's
- * seconds histogram, both closed on scope exit.
- */
-class StageScope
-{
-  public:
-    StageScope(obs::Histogram &hist, obs::TraceRecorder &trace,
-               const char *name)
-        : hist_(hist), span_(trace.span(name, "stage"))
-    {}
-
-    ~StageScope()
-    {
-        span_.end();
-        hist_.record(timer_.seconds());
-    }
-
-    StageScope(const StageScope &) = delete;
-    StageScope &operator=(const StageScope &) = delete;
-
-  private:
-    obs::Histogram &hist_;
-    Timer timer_;
-    obs::TraceRecorder::Span span_;
-};
-
-} // namespace
-
 TrainingSession::TrainingSession(TgnnModel &model,
                                  const EventSource &data,
                                  const TemporalAdjacency &adj,
@@ -53,7 +22,7 @@ TrainingSession::TrainingSession(TgnnModel &model,
                                  obs::TraceRecorder *trace)
     : model_(model), data_(data), adj_(adj), trainEnd_(train_end),
       batcher_(batcher), options_(options), device_(device),
-      guard_(options.guard)
+      guard_(options.guard), depth_(options.pipelineDepth)
 {
     CASCADE_CHECK(trainEnd_ > 0 && trainEnd_ <= data_.size(),
                   "TrainingSession: bad train range");
@@ -198,19 +167,14 @@ TrainingSession::initOrResume()
     metrics_->gauge("session.init_seconds").set(t.seconds());
 }
 
-TrainingSession::BatchOutcome
-TrainingSession::runBatch()
+size_t
+TrainingSession::boundaryStage(size_t st)
 {
-    auto batch_span = trace_->span("batch", "batch");
-    const size_t st = static_cast<size_t>(cur_.st);
-
-    // Stage `boundary`: the batch-formation decision. For Cascade
-    // policies the TG-Diffuser records its Algorithm 3 `lookup`
-    // sub-stage into `stage.lookup.seconds` from inside this span.
-    // Supervised: a failing dependency-table build (the pipelined
-    // chunk prefetch surfaces its exception here) is retried under
-    // the backoff policy; an exhausted budget steps the batcher down
-    // its degradation ladder and tries again with a fresh budget.
+    // For Cascade policies the TG-Diffuser records its Algorithm 3
+    // `lookup` sub-stage into `stage.lookup.seconds` from inside this
+    // span. A failing dependency-table build (the pipelined chunk
+    // prefetch surfaces its exception here) is what gets retried, and
+    // each ladder step starts a fresh retry budget.
     size_t ed = 0;
     {
         StageScope stage(metrics_->histogram("stage.boundary.seconds"),
@@ -234,184 +198,192 @@ TrainingSession::runBatch()
     }
     CASCADE_CHECK(ed > st && ed <= trainEnd_,
                   "batcher returned a bad range");
+    return ed;
+}
 
-    // Stage `model`: forward/backward/update. Watchdog only — a
-    // retry here would repeat a state-mutating step, so slow batches
-    // are counted (deadline misses), never re-run.
-    StepResult r;
-    {
-        StageScope stage(metrics_->histogram("stage.model.seconds"),
-                         *trace_, "model");
-        auto wd = supervisor_->watch("model");
-        r = workerGroup_
-                ? workerGroup_->runBatch(
-                      static_cast<uint64_t>(cur_.globalBatch), st, ed)
-                : model_.step(data_, adj_, st, ed, true);
+void
+TrainingSession::modelStage(Batch &b)
+{
+    // Watchdog only: a retry here would repeat a state-mutating step,
+    // so slow batches are counted (deadline misses), never re-run.
+    StageScope stage(metrics_->histogram("stage.model.seconds"),
+                     *trace_, "model");
+    auto wd = supervisor_->watch("model");
+    if (workerGroup_) {
+        b.result = workerGroup_->runBatch(b.globalBatch, b.st, b.ed);
+        return;
     }
-    const uint64_t gb = cur_.globalBatch;
-    if (fault::maybeInjectNan(gb, r.loss)) {
-        CASCADE_LOG("fault injection: NaN loss at batch %llu",
-                    (unsigned long long)gb);
-    }
-
-    // Stage `guard`: numeric admission; a trip restores the last good
-    // snapshot. The tripped batch contributes nothing: no device
-    // charge, no feedback, no loss accounting.
-    {
-        StageScope stage(metrics_->histogram("stage.guard.seconds"),
-                         *trace_, "guard");
-        if (!guard_.admit(r.loss, r.gradNorm)) {
-            CASCADE_LOG("numeric guard tripped at batch %llu: %s",
-                        (unsigned long long)gb,
-                        guard_.lastReason().c_str());
-            if (guard_.exhausted()) {
-                CASCADE_FATAL("numeric guard: retry budget "
-                              "exhausted; training keeps "
-                              "diverging after rollbacks");
-            }
-            CASCADE_CHECK(decodeCheckpoint(lastGood_, model_, batcher_,
-                                           cur_),
-                          "rollback snapshot failed to apply");
-            batcher_.onNumericRollback();
-            // Replicas only ever advance via the per-batch merged
-            // updates; an out-of-band master restore must be
-            // rebroadcast or they silently diverge.
-            if (workerGroup_)
-                workerGroup_->resyncReplicas();
-            metrics_->counter("train.rollbacks").add(1);
-            CASCADE_LOG("rolled back to epoch %llu batch %llu",
-                        (unsigned long long)cur_.epoch,
-                        (unsigned long long)cur_.batchIndex);
-            return BatchOutcome::RolledBack;
+    TgnnModel::Forward f;
+    if (pipeline_) {
+        {
+            LockGuard mem(pipeline_->memoryLock());
+            f = model_.stepForward(data_, adj_, b.st, b.ed);
         }
+        pipeline_->handoff(b, f);
+        model_.stepBackward(f);
+        b.result = std::move(f.result);
+        return;
     }
+    f = model_.stepForward(data_, adj_, b.st, b.ed);
+    model_.stepBackward(f);
+    b.result = std::move(f.result);
+    b.writeback = std::move(f.writeback);
+    writebackStage(b, 0);
+}
 
-    // Stage `feedback`: device charge plus the policy's runtime
-    // feedback (SG-Filter flags, ABS loss schedule).
-    {
-        StageScope stage(metrics_->histogram("stage.feedback.seconds"),
-                         *trace_, "feedback");
-        device_->charge(r.numEvents, r.workRows, r.sampledNeighbors);
+void
+TrainingSession::writebackStage(Batch &b, uint64_t stamp)
+{
+    if (!b.writeback.active)
+        return;
+    b.result.memCosine = model_.applyWriteback(data_, b.writeback, stamp);
+    b.result.updatedNodes = std::move(b.writeback.nodes);
+}
 
-        BatchFeedback fb;
-        fb.batchIndex = static_cast<size_t>(cur_.batchIndex);
-        fb.st = st;
-        fb.ed = ed;
-        fb.loss = r.loss;
-        fb.updatedNodes = &r.updatedNodes;
-        fb.memCosine = &r.memCosine;
-        batcher_.onBatchDone(fb);
+void
+TrainingSession::feedbackStage(const Batch &b)
+{
+    // The policy's runtime feedback: SG-Filter flags, ABS loss
+    // schedule.
+    StageScope stage(metrics_->histogram("stage.feedback.seconds"),
+                     *trace_, "feedback");
+    const StepResult &r = b.result;
+    device_->charge(r.numEvents, r.workRows, r.sampledNeighbors);
+
+    BatchFeedback fb;
+    fb.batchIndex = b.batchIndex;
+    fb.st = b.st;
+    fb.ed = b.ed;
+    fb.loss = r.loss;
+    fb.updatedNodes = &r.updatedNodes;
+    fb.memCosine = &r.memCosine;
+    batcher_.onBatchDone(fb);
+}
+
+bool
+TrainingSession::admitStage(Batch &b)
+{
+    StepResult &r = b.result;
+    if (fault::maybeInjectNan(b.globalBatch, r.loss)) {
+        CASCADE_LOG("fault injection: NaN loss at batch %llu",
+                    (unsigned long long)b.globalBatch);
     }
+    StageScope stage(metrics_->histogram("stage.guard.seconds"),
+                     *trace_, "guard");
+    if (guard_.admit(r.loss, r.gradNorm))
+        return true;
+    CASCADE_LOG("numeric guard tripped at batch %llu: %s",
+                (unsigned long long)b.globalBatch,
+                guard_.lastReason().c_str());
+    if (guard_.exhausted()) {
+        CASCADE_FATAL("numeric guard: retry budget exhausted; training "
+                      "keeps diverging after rollbacks");
+    }
+    return false;
+}
 
+void
+TrainingSession::rollback()
+{
+    // The tripped batch contributes nothing: no device charge, no
+    // feedback, no loss accounting.
+    CASCADE_CHECK(decodeCheckpoint(lastGood_, model_, batcher_, cur_),
+                  "rollback snapshot failed to apply");
+    batcher_.onNumericRollback();
+    // Replicas only ever advance via the per-batch merged updates; an
+    // out-of-band master restore must be rebroadcast or they silently
+    // diverge.
+    if (workerGroup_)
+        workerGroup_->resyncReplicas();
+    metrics_->counter("train.rollbacks").add(1);
+    CASCADE_LOG("rolled back to epoch %llu batch %llu",
+                (unsigned long long)cur_.epoch,
+                (unsigned long long)cur_.batchIndex);
+}
+
+bool
+TrainingSession::commitStage(const Batch &b)
+{
+    const StepResult &r = b.result;
     cur_.lossSum += r.loss * r.numEvents;
     cur_.epochEvents += r.numEvents;
     cur_.totalEvents += r.numEvents;
     ++cur_.batchIndex;
     ++cur_.totalBatches;
     ++cur_.globalBatch;
-    cur_.st = ed;
+    cur_.st = b.ed;
     metrics_->counter("train.batches").add(1);
     metrics_->counter("train.events").add(r.numEvents);
     metrics_->histogram("train.batch_size")
         .record(static_cast<double>(r.numEvents));
+    model_.recordStepMetrics(r);
     // Out-of-core: the trained prefix is no longer hot (neighbor
     // sampling re-faults cold pages on demand), so an mmap-backed
     // source may drop it and bound resident memory. Advisory no-op
     // for resident sources.
-    data_.hintConsumed(static_cast<EventIdx>(ed));
+    data_.hintConsumed(static_cast<EventIdx>(b.ed));
 
     if (observer_) {
         BatchRecord rec;
-        rec.globalBatch = gb;
+        rec.globalBatch = b.globalBatch;
         rec.epoch = static_cast<size_t>(cur_.epoch);
-        rec.st = st;
-        rec.ed = ed;
+        rec.st = b.st;
+        rec.ed = b.ed;
         rec.loss = r.loss;
         rec.numEvents = r.numEvents;
+        rec.memStaleness = b.memStaleness;
         observer_(rec);
     }
 
-    snapshotIfDue();
-
-    if (fault::crashAfter(gb)) {
-        CASCADE_LOG("fault injection: simulated crash after "
-                    "batch %llu",
-                    (unsigned long long)gb);
-        report_.interrupted = true;
-        return BatchOutcome::Crashed;
+    // Stage `checkpoint`: cadence snapshot, also the rollback grain.
+    // The in-memory snapshot is always taken — rollback must keep
+    // working even when the on-disk write path has been degraded.
+    // Under the pipeline every in-flight batch lands first (drain-
+    // then-snapshot), so the payload byte-matches the inline run's,
+    // and the disk write goes to the writer thread.
+    if (options_.checkpointEvery != 0 &&
+        cur_.globalBatch % options_.checkpointEvery == 0) {
+        StageScope stage(metrics_->histogram("stage.checkpoint.seconds"),
+                         *trace_, "checkpoint");
+        if (pipeline_)
+            pipeline_->drainThrough(b);
+        lastGood_ = encodeCheckpoint(model_, batcher_, cur_);
+        metrics_->counter("checkpoint.snapshots").add(1);
+        if (pipeline_)
+            pipeline_->queueWrite(lastGood_);
+        else
+            writeCheckpoint(lastGood_, "checkpoint");
     }
-    return BatchOutcome::Admitted;
+
+    if (fault::crashAfter(b.globalBatch)) {
+        CASCADE_LOG("fault injection: simulated crash after batch %llu",
+                    (unsigned long long)b.globalBatch);
+        report_.interrupted = true;
+        return false;
+    }
+    return true;
 }
 
 TrainingSession::BatchOutcome
-TrainingSession::runPipelinedSegment()
+TrainingSession::runInline()
 {
-    TrainingPipeline::Env env;
-    env.model = &model_;
-    env.data = &data_;
-    env.adj = &adj_;
-    env.trainEnd = trainEnd_;
-    env.batcher = &batcher_;
-    env.guard = &guard_;
-    env.supervisor = supervisor_.get();
-    env.device = device_;
-    env.metrics = metrics_;
-    env.trace = trace_;
-    env.cursor = &cur_;
-    env.lastGood = &lastGood_;
-    env.observer = &observer_;
-    env.wantDiskCheckpoints =
-        !options_.checkpointPath.empty() && !checkpointingDisabled_;
-    env.writeCheckpoint = [this](const std::string &payload,
-                                 const char *what) {
-        writeCheckpoint(payload, what);
-    };
-    env.onDegrade = [this](const std::string &mode) {
-        recordDegradation(mode);
-        report_.degradedMode = mode;
-    };
-
-    TrainingPipeline::Config cfg;
-    cfg.depth = options_.pipelineDepth;
-    cfg.staleness = options_.stalenessBound;
-    cfg.checkpointEvery = options_.checkpointEvery;
-    cfg.overloadDeadlineMs = options_.supervisor.stageDeadlineMs;
-
-    TrainingPipeline pipe(env, cfg);
-    switch (pipe.runSegment()) {
-    case PipelineOutcome::RolledBack:
-        return BatchOutcome::RolledBack;
-    case PipelineOutcome::Crashed:
-        report_.interrupted = true;
-        return BatchOutcome::Crashed;
-    case PipelineOutcome::Overloaded:
-        // One-way: the rest of the run (this segment's remainder
-        // included) goes through the synchronous staged loop.
-        pipelineDisabled_ = true;
-        recordDegradation("pipeline-synchronous");
-        report_.degradedMode = "pipeline-synchronous";
-        return BatchOutcome::Admitted;
-    case PipelineOutcome::Completed:
-        break;
+    while (cur_.st < trainEnd_) {
+        auto batch_span = trace_->span("batch", "batch");
+        Batch b;
+        b.globalBatch = cur_.globalBatch;
+        b.batchIndex = static_cast<size_t>(cur_.batchIndex);
+        b.st = static_cast<size_t>(cur_.st);
+        b.ed = boundaryStage(b.st);
+        modelStage(b);
+        if (!admitStage(b)) {
+            rollback();
+            return BatchOutcome::RolledBack;
+        }
+        feedbackStage(b);
+        if (!commitStage(b))
+            return BatchOutcome::Crashed;
     }
-    return BatchOutcome::Admitted;
-}
-
-void
-TrainingSession::snapshotIfDue()
-{
-    if (options_.checkpointEvery == 0 ||
-        cur_.globalBatch % options_.checkpointEvery != 0) {
-        return;
-    }
-    // Stage `checkpoint`: cadence snapshot (also the rollback grain).
-    // The in-memory snapshot is always taken — rollback must keep
-    // working even when the on-disk write path has been degraded.
-    StageScope stage(metrics_->histogram("stage.checkpoint.seconds"),
-                     *trace_, "checkpoint");
-    lastGood_ = encodeCheckpoint(model_, batcher_, cur_);
-    metrics_->counter("checkpoint.snapshots").add(1);
-    writeCheckpoint(lastGood_, "checkpoint");
+    return BatchOutcome::Completed;
 }
 
 void
@@ -610,16 +582,22 @@ TrainingSession::run()
         bool rolled_back = false;
 
         while (cur_.st < trainEnd_) {
-            const BatchOutcome out =
-                (options_.pipelineDepth > 0 && !pipelineDisabled_)
-                    ? runPipelinedSegment()
-                    : runBatch();
+            const BatchOutcome out = depth_ > 0
+                ? TrainingPipeline(*this).runSegment()
+                : runInline();
             if (out == BatchOutcome::RolledBack) {
                 rolled_back = true;
                 break;
             }
             if (out == BatchOutcome::Crashed)
                 break;
+            if (out == BatchOutcome::Overloaded) {
+                // One-way: the rest of the run (this segment's
+                // remainder included) continues at depth 0.
+                depth_ = 0;
+                recordDegradation("pipeline-synchronous");
+                report_.degradedMode = "pipeline-synchronous";
+            }
         }
         if (rolled_back)
             continue; // re-enter the loop at the restored cursor

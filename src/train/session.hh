@@ -1,38 +1,46 @@
 /**
  * @file
- * Staged training session (the decomposed trainer).
+ * Staged training session: one batch executor, two drivers.
  *
- * The seed's `trainModel()` was one free function that hand-rolled
- * batching, guard/rollback, checkpointing and a bespoke timing scheme
- * smeared across three layers. TrainingSession makes the stages of one
- * global batch explicit and observable:
+ * TrainingSession makes the stages of one global batch explicit and
+ * observable, and writes each stage body exactly once:
  *
- *   boundary   — Batcher::next (batch-boundary decision; for Cascade
- *                this contains the Algorithm 3 `lookup` sub-stage,
- *                recorded by the TG-Diffuser itself)
- *   model      — TgnnModel::step (forward/backward/update)
- *   guard      — NumericGuard admission + rollback restore on a trip
- *   feedback   — Batcher::onBatchDone (SG-Filter + ABS refresh) and
- *                the device-model charge
- *   checkpoint — cadence snapshot encode + supervised file write
+ *   boundary   — Batcher::next under the Supervisor (batch-boundary
+ *                decision; for Cascade this contains the Algorithm 3
+ *                `lookup` sub-stage, recorded by the TG-Diffuser)
+ *   model      — stepForward/stepBackward, or WorkerGroup::runBatch
+ *                when sharded
+ *   writeback  — the deferred memory write + message generation
+ *   guard      — NaN injection, NumericGuard admission, rollback
+ *                restore on a trip
+ *   feedback   — device-model charge + Batcher::onBatchDone
+ *                (SG-Filter + ABS refresh)
+ *   commit     — cursor advance and counters, the consumed-prefix
+ *                hint, the observer, the cadence snapshot (stage
+ *                `checkpoint`) and crash injection
  *
- * plus a post-training `eval` stage. Failure-prone stages run under a
- * Supervisor (train/supervisor.hh): the boundary decision and the
- * checkpoint writes retry with deterministic backoff, and when a
- * retry budget exhausts the session steps down a graceful-degradation
- * ladder (Batcher::degradeOnce for batching; a one-way
- * "checkpointing disabled" mode for durability) instead of dying —
- * an epoch always completes. Every stage runs under a trace
- * span (epoch > batch > stage, chrome://tracing JSON via
- * obs::TraceRecorder) and records its seconds into a
+ * plus a post-training `eval` stage. At `pipelineDepth == 0` the
+ * inline driver (runInline) calls the bodies in order on the caller
+ * thread; at depth >= 1 the threaded driver (train/pipeline.hh)
+ * calls the same bodies from its boundary, model, update and writer
+ * threads. Stage order, snapshot cadence and rollback therefore live
+ * in one place, and degrading an overloaded pipeline means continuing
+ * the same bodies at depth 0.
+ *
+ * Failure-prone stages run under a Supervisor (train/supervisor.hh):
+ * the boundary decision and the checkpoint writes retry with
+ * deterministic backoff, and when a retry budget exhausts the session
+ * steps down a graceful-degradation ladder (Batcher::degradeOnce for
+ * batching; a one-way "checkpointing disabled" mode for durability)
+ * instead of dying — an epoch always completes. Every stage runs
+ * under a trace span (epoch > batch > stage, chrome://tracing JSON
+ * via obs::TraceRecorder) and records its seconds into a
  * `stage.<name>.seconds` histogram in the session's MetricsRegistry;
  * the TrainReport is assembled *from* the registry afterwards instead
- * of being mutated inline. Explicit stages are the precondition for
- * the ROADMAP's pipelining work: Cascade_EX overlap and MSPipe-style
- * staleness scheduling reorder exactly these stages.
+ * of being mutated inline.
  *
- * The decomposition is behavior-preserving: stage order and state
- * transitions replicate the seed trainer exactly, so per-batch loss
+ * The decomposition is behavior-preserving: the inline driver's stage
+ * order replicates the seed trainer exactly, so per-batch loss
  * sequences and batch boundaries are bit-identical (guarded by the
  * golden-trajectory test) and checkpoint/resume trajectories are
  * unchanged.
@@ -50,9 +58,12 @@
 #include "train/checkpoint.hh"
 #include "train/supervisor.hh"
 #include "train/trainer.hh"
+#include "util/determinism.hh"
+#include "util/timer.hh"
 
 namespace cascade {
 
+class TrainingPipeline;
 class WorkerGroup;
 
 /** One finished batch, as seen by observers. */
@@ -93,24 +104,6 @@ class TrainingSession
                     obs::TraceRecorder *trace = nullptr);
 
     /**
-     * @deprecated Construct over an EventSource instead (wrap a
-     * resident sequence in VectorEventSource, or pass the Dataset's
-     * source directly). Removed after one release.
-     */
-    [[deprecated("pass an EventSource (e.g. VectorEventSource)")]]
-    TrainingSession(TgnnModel &model, const EventSequence &data,
-                    const TemporalAdjacency &adj, size_t train_end,
-                    Batcher &batcher, const TrainOptions &options,
-                    DeviceModel *device = nullptr,
-                    obs::MetricsRegistry *metrics = nullptr,
-                    obs::TraceRecorder *trace = nullptr)
-        : TrainingSession(model,
-                          std::make_unique<VectorEventSource>(data),
-                          adj, train_end, batcher, options, device,
-                          metrics, trace)
-    {}
-
-    /**
      * Unbinds the instruments the constructor bound into the
      * registry. Model, batcher and device routinely outlive the
      * session (and, when owned, its registry) — e.g. evalLoss after
@@ -146,46 +139,115 @@ class TrainingSession
     const obs::TraceRecorder &trace() const { return *trace_; }
 
   private:
-    /** Adapter-owning delegate for the deprecated EventSequence
-     *  constructor: the wrapper must live as long as the session. */
-    TrainingSession(TgnnModel &model,
-                    std::unique_ptr<VectorEventSource> owned,
-                    const TemporalAdjacency &adj, size_t train_end,
-                    Batcher &batcher, const TrainOptions &options,
-                    DeviceModel *device, obs::MetricsRegistry *metrics,
-                    obs::TraceRecorder *trace)
-        : TrainingSession(model, *owned, adj, train_end, batcher,
-                          options, device, metrics, trace)
-    {
-        ownedSrc_ = std::move(owned);
-    }
+    /** The threaded driver calls the stage bodies below. */
+    friend class TrainingPipeline;
 
-    /** Per-batch outcome deciding the loop's next move. */
+    /** How a driver's pass over the epoch's remaining batches ended. */
     enum class BatchOutcome
     {
-        Admitted,  ///< batch counted; cursor advanced
-        RolledBack,///< guard trip; cursor restored to the snapshot
-        Crashed    ///< injected crash; run ends interrupted
+        Completed, ///< cursor reached the epoch's train end
+        RolledBack,///< guard trip; state restored to the last snapshot
+        Crashed,   ///< injected crash; run ends interrupted
+        Overloaded ///< persistent pipeline stalls; continue at depth 0
+    };
+
+    /**
+     * One stage execution: a trace span plus a sample in the stage's
+     * seconds histogram, both closed on scope exit.
+     */
+    class StageScope
+    {
+      public:
+        StageScope(obs::Histogram &hist, obs::TraceRecorder &trace,
+                   const char *name)
+            : hist_(hist), span_(trace.span(name, "stage"))
+        {}
+
+        ~StageScope()
+        {
+            span_.end();
+            hist_.record(timer_.seconds());
+        }
+
+        StageScope(const StageScope &) = delete;
+        StageScope &operator=(const StageScope &) = delete;
+
+      private:
+        obs::Histogram &hist_;
+        Timer timer_;
+        obs::TraceRecorder::Span span_;
+    };
+
+    /** One global batch on its way through the stage bodies. */
+    struct Batch
+    {
+        uint64_t globalBatch = 0;
+        size_t batchIndex = 0; ///< index within the epoch
+        size_t st = 0;
+        size_t ed = 0;
+        uint64_t seg = 0;        ///< pipeline segment ordinal
+        size_t memStaleness = 0; ///< batches of unapplied writeback
+        StepResult result;
+        /** Deferred memory write, until writebackStage applies it. */
+        TgnnModel::PendingWriteback writeback;
     };
 
     /** Stage: resume from disk or capture the pristine snapshot. */
     void initOrResume();
 
-    /** One global batch through every stage. */
-    BatchOutcome runBatch();
+    // --- stage bodies: written once, called by both drivers --------
 
     /**
-     * Run from the cursor to the epoch's train end through the
-     * asynchronous pipeline (train/pipeline.hh). Admitted means the
-     * segment completed (cursor at trainEnd_) or the pipeline
-     * declared overload and degraded to the synchronous loop
-     * (pipelineDisabled_ set; cursor mid-epoch, loop continues
-     * synchronously).
+     * Stage `boundary`: Batcher::next under the Supervisor's retry
+     * budget, stepping the batcher down its degradation ladder when a
+     * budget exhausts. Returns the checked batch end.
      */
-    BatchOutcome runPipelinedSegment();
+    size_t boundaryStage(size_t st);
 
-    /** Stage `checkpoint`: cadence snapshot + supervised write. */
-    void snapshotIfDue();
+    /**
+     * Stage `model`: forward, backward and optimizer step — or the
+     * whole sharded step via WorkerGroup::runBatch. Inline, the
+     * writeback follows backward, in TgnnModel::step's order; under
+     * the pipeline the forward runs under its memory lock and the
+     * writeback is handed to the update worker, overlapping backward.
+     */
+    void modelStage(Batch &b);
+
+    /**
+     * Apply the deferred memory writeback and message generation,
+     * filling the result's updatedNodes/memCosine. `stamp` marks the
+     * written rows with a pipeline batch ordinal (0 inline).
+     */
+    void writebackStage(Batch &b, uint64_t stamp);
+
+    /** Stage `feedback`: device charge + Batcher::onBatchDone. */
+    void feedbackStage(const Batch &b);
+
+    /**
+     * NaN injection, then stage `guard`: numeric admission. False is
+     * a trip; the caller quiesces and calls rollback(). A guard whose
+     * retry budget is exhausted is fatal.
+     */
+    bool admitStage(Batch &b);
+
+    /** Restore the last good snapshot after a guard trip. */
+    void rollback();
+
+    /**
+     * Commit an admitted batch: cursor advance and train.* counters,
+     * model.* step metrics, the consumed-prefix hint, the observer,
+     * the cadence snapshot (stage `checkpoint`) and crash injection.
+     * Returns false when an injected crash ends the run.
+     */
+    bool commitStage(const Batch &b);
+
+    /**
+     * The depth-0 driver: the stage bodies in order on the caller
+     * thread, from the cursor to the epoch's train end. No thread,
+     * queue or lock.
+     */
+    CASCADE_TRAJECTORY
+    BatchOutcome runInline();
 
     /**
      * Supervised checkpoint write (cadence and final). Retries under
@@ -206,7 +268,6 @@ class TrainingSession
     void assembleReport();
 
     // --- wiring -----------------------------------------------------
-    std::unique_ptr<VectorEventSource> ownedSrc_;
     TgnnModel &model_;
     const EventSource &data_;
     const TemporalAdjacency &adj_;
@@ -233,8 +294,10 @@ class TrainingSession
     bool ran_ = false;
     /** One-way degradation: checkpoint writes kept failing. */
     bool checkpointingDisabled_ = false;
-    /** One-way degradation: pipeline overloaded; run synchronous. */
-    bool pipelineDisabled_ = false;
+    /** Pipeline depth in effect; an overload drops it to 0 (one-way). */
+    size_t depth_ = 0;
+    /** The threaded driver while one of its segments runs. */
+    TrainingPipeline *pipeline_ = nullptr;
 };
 
 } // namespace cascade

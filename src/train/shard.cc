@@ -540,7 +540,6 @@ WorkerGroup::runBatch(uint64_t globalBatch, size_t st, size_t ed)
     StepResult r = options_.processes
                        ? runBatchForked(globalBatch, st, ed)
                        : runBatchInProcess(globalBatch, st, ed);
-    master_.recordStepMetrics(r);
     if (metrics_) {
         metrics_->counter("worker.batches").add(1);
         metrics_->histogram("worker.merge_seconds").record(t.seconds());

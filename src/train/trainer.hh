@@ -169,8 +169,8 @@ struct TrainOptions
     /**
      * Asynchronous pipeline depth: how many batch plans the boundary
      * stage may run ahead of the model stage (the bounded plan-queue
-     * capacity; train/pipeline.hh). 0 = the classic synchronous
-     * staged loop.
+     * capacity; train/pipeline.hh). 0 = the inline driver: the same
+     * stages in order on the caller thread, no threads added.
      */
     size_t pipelineDepth = 0;
     /**
@@ -221,22 +221,6 @@ TrainReport trainModel(TgnnModel &model, const EventSource &data,
                        const TemporalAdjacency &adj, size_t train_end,
                        Batcher &batcher, const TrainOptions &options,
                        DeviceModel *device = nullptr);
-
-/**
- * @deprecated Pass an EventSource instead (wrap a resident sequence
- * in VectorEventSource, or pass the Dataset's source directly).
- * Removed after one release.
- */
-[[deprecated("pass an EventSource (e.g. VectorEventSource)")]]
-inline TrainReport
-trainModel(TgnnModel &model, const EventSequence &data,
-           const TemporalAdjacency &adj, size_t train_end,
-           Batcher &batcher, const TrainOptions &options,
-           DeviceModel *device = nullptr)
-{
-    return trainModel(model, VectorEventSource(data), adj, train_end,
-                      batcher, options, device);
-}
 
 } // namespace cascade
 

@@ -35,7 +35,8 @@
  * What counts as trajectory-defining (the root set):
  *  - TgnnModel::stepForwardWithRng / advanceState — the forward pass
  *  - mergeShardResults / applyMergedUpdate — the sharded collective
- *  - TrainingPipeline::runSegment — every pipeline stage body
+ *  - TrainingSession::runInline / TrainingPipeline::runSegment — the
+ *    two batch drivers, and through them every stage body
  *  - kernels::gemm / gemmAcc — the fixed-p-order parallel reductions
  *  - saveCheckpointRotated / saveModel — checkpoint serialization
  *  - ServeEngine::applyEvents — the serve snapshot writer

@@ -13,7 +13,11 @@
  *    at maximum allowed skew;
  *  - a numeric-guard trip inside the pipeline quiesces, rolls back
  *    and replays to the same recovered trajectory as the synchronous
- *    loop.
+ *    loop;
+ *  - the shared commit stage behaves the same at every depth: the
+ *    trained prefix is hinted consumed up to the train end, and the
+ *    model.* step counters count admitted batches only — with or
+ *    without rollbacks, pipelined or sharded.
  *
  * Queue shutdown/exception propagation is covered by test_queue.cc;
  * SIGKILL crash/resume byte-identity by tools/chaos_soak.sh and
@@ -23,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "core/cascade_batcher.hh"
@@ -127,7 +132,94 @@ expectIdentical(const std::vector<SeenBatch> &sync_traj,
     }
 }
 
+/**
+ * Resident source that records the consumed-prefix hints the trainer
+ * sends (an mmap-backed EventLogSource drops those pages).
+ */
+class HintRecordingSource final : public EventSource
+{
+  public:
+    explicit HintRecordingSource(const EventSequence &seq) : inner_(seq) {}
+
+    size_t numNodes() const override { return inner_.numNodes(); }
+    size_t size() const override { return inner_.size(); }
+    size_t featDim() const override { return inner_.featDim(); }
+    Event event(EventIdx i) const override { return inner_.event(i); }
+    const float *featureRow(EventIdx i) const override
+    {
+        return inner_.featureRow(i);
+    }
+    void hintConsumed(EventIdx cursor) const override
+    {
+        hints_.fetch_add(1);
+        last_.store(cursor);
+    }
+
+    size_t hints() const { return hints_.load(); }
+    EventIdx lastHint() const { return last_.load(); }
+
+  private:
+    VectorEventSource inner_;
+    mutable std::atomic<size_t> hints_{0};
+    mutable std::atomic<EventIdx> last_{0};
+};
+
 } // namespace
+
+TEST(PipelineOutOfCore, TrainedPrefixIsHintedConsumedAtEveryDepth)
+{
+    Fixture f;
+    for (size_t depth : {size_t{0}, size_t{2}}) {
+        SCOPED_TRACE("depth=" + std::to_string(depth));
+        HintRecordingSource src(f.data);
+        TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
+                        7);
+        FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
+        const std::vector<SeenBatch> traj =
+            runTrajectory(model, src, f.adj, f.trainEnd, batcher,
+                          /*epochs=*/1, depth, /*staleness=*/0);
+        EXPECT_EQ(src.hints(), traj.size());
+        EXPECT_EQ(src.lastHint(), static_cast<EventIdx>(f.trainEnd));
+    }
+}
+
+TEST(PipelineRollback, ModelStepCountersCountAdmittedBatchesOnly)
+{
+    Fixture f;
+    struct Mode
+    {
+        const char *name;
+        size_t depth;
+        size_t workers;
+    };
+    for (const Mode m : {Mode{"depth 0", 0, 1}, Mode{"depth 2", 2, 1},
+                         Mode{"workers 2", 0, 2}}) {
+        SCOPED_TRACE(m.name);
+        fault::Config fc;
+        fc.nanBatch = 5;
+        FaultScope scope(fc);
+        TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(),
+                        7);
+        FixedBatcher batcher(f.trainEnd, f.spec.baseBatch);
+        TrainOptions o;
+        o.epochs = 1;
+        o.evalBatch = f.spec.baseBatch; // validation steps count nothing
+        o.pipelineDepth = m.depth;
+        o.workers = m.workers;
+        o.checkpointEvery = 8;
+        TrainingSession session(model, f.src, f.adj, f.trainEnd, batcher,
+                                o);
+        const TrainReport r = session.run();
+        ASSERT_EQ(r.rollbacks, 1u);
+
+        const obs::MetricsRegistry &mx = session.metrics();
+        ASSERT_NE(mx.findCounter("model.steps"), nullptr);
+        EXPECT_EQ(mx.findCounter("model.steps")->value(),
+                  mx.findCounter("train.batches")->value());
+        EXPECT_EQ(mx.findCounter("model.events")->value(),
+                  mx.findCounter("train.events")->value());
+    }
+}
 
 TEST(PipelineIdentity, S0CascadeBitIdenticalAcrossThreadCounts)
 {

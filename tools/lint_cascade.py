@@ -52,10 +52,12 @@ unguarded-mutex
     that guards nothing it can name is either dead or undocumented.
 
 deprecated-api
-    No caller outside ``src/tensor/kernels*`` / ``src/tensor/tensor``
-    may reference the deprecated GEMM entry points
-    (``matmulTransARaw``/``matmulTransBRaw``/``matmulRaw``); use
-    ``kernels::gemm``. Subsumes the grep check.sh previously carried.
+    The removed pre-kernels GEMM entry points
+    (``matmulTransARaw``/``matmulTransBRaw``/``matmulRaw``) and the
+    removed ``graph/io.hh`` loaders (``loadEventsCsv`` and friends)
+    stay removed: any reference anywhere is a violation, with no
+    allowed site and no escape comment. Use ``kernels::gemm`` and
+    ``Dataset::open``/``saveCsv``/``saveBinary``.
 
 tsan-supp-justified
     Every suppression entry in ``tools/tsan.supp`` must be directly
@@ -366,14 +368,6 @@ _DEPRECATED_API_RE = re.compile(
     r"\bmatmul(?:TransA|TransB)?Raw\b"
     r"|\b(?:save|load)Events(?:Csv|Binary)\b"
 )
-_DEPRECATED_API_ALLOWED = (
-    "src/tensor/kernels",  # defining TU + deprecated wrappers
-    "src/tensor/tensor",   # declaration site of the wrappers
-    "src/graph/io.",       # declaration site of the loader shims
-)
-
-
-_ALLOW_DEPRECATED = "cascade-lint: allow(deprecated-api)"
 
 
 def rule_deprecated_api(root: str) -> List[Violation]:
@@ -381,26 +375,18 @@ def rule_deprecated_api(root: str) -> List[Violation]:
     for path in iter_repo_files(
         root, ["src", "tests", "bench", "tools", "examples"]
     ):
-        relpath = rel(root, path)
-        if any(relpath.startswith(a) for a in _DEPRECATED_API_ALLOWED):
-            continue
         with open(path, encoding="utf-8") as f:
-            raw_lines = f.read().splitlines()
-        code_lines = strip_comments_and_strings(
-            "\n".join(raw_lines)
-        ).splitlines()
-        for i, (line, raw) in enumerate(zip(code_lines, raw_lines), 1):
-            if _DEPRECATED_API_RE.search(line) and (
-                _ALLOW_DEPRECATED not in raw
-            ):
+            code = strip_comments_and_strings(f.read())
+        for i, line in enumerate(code.splitlines(), 1):
+            if _DEPRECATED_API_RE.search(line):
                 out.append(
                     Violation(
-                        relpath,
+                        rel(root, path),
                         i,
                         "deprecated-api",
-                        "deprecated GEMM entry point; use "
-                        "kernels::gemm / kernels::gemmAcc, or "
-                        f"justify with '{_ALLOW_DEPRECATED}'",
+                        "removed pre-kernels/pre-Dataset API; use "
+                        "kernels::gemm / kernels::gemmAcc or "
+                        "Dataset::open / saveCsv / saveBinary",
                     )
                 )
     return out
