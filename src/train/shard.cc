@@ -9,12 +9,10 @@
 #include "util/parallel.hh"
 #include "util/timer.hh"
 
-#ifndef _WIN32
 #include <csignal>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace cascade {
 
@@ -51,10 +49,6 @@ WorkerGroup::WorkerGroup(TgnnModel &master, const EventSource &data,
     CASCADE_CHECK(options_.workers >= 1,
                   "WorkerGroup: need at least one worker");
     shards_ = options_.shards > 0 ? options_.shards : options_.workers;
-#ifdef _WIN32
-    CASCADE_CHECK(!options_.processes,
-                  "WorkerGroup: forked workers need POSIX");
-#endif
 }
 
 WorkerGroup::~WorkerGroup()
@@ -130,7 +124,6 @@ WorkerGroup::computeShard(TgnnModel &model, uint64_t globalBatch,
 void
 WorkerGroup::writePidRoster() const
 {
-#ifndef _WIN32
     if (options_.pidFile.empty() || !options_.processes)
         return;
     std::string text;
@@ -143,7 +136,6 @@ WorkerGroup::writePidRoster() const
     if (!writeFileAtomic(options_.pidFile, text))
         CASCADE_LOG("warning: failed to write worker PID roster %s",
                     options_.pidFile.c_str());
-#endif
 }
 
 void
@@ -179,7 +171,6 @@ WorkerGroup::start()
         return;
     }
 
-#ifndef _WIN32
     // Forked runtime. fork() at this quiescent point hands every
     // child a copy-on-write image of the master replica — no state
     // transfer; the child simply keeps using master_ as its replica.
@@ -208,10 +199,8 @@ WorkerGroup::start()
         procs_[rank].alive = true;
     }
     writePidRoster();
-#endif
 }
 
-#ifndef _WIN32
 void
 WorkerGroup::workerMain(size_t rank, int fd)
 {
@@ -307,18 +296,10 @@ WorkerGroup::workerMain(size_t rank, int fd)
             ::_exit(0); // supervisor gone; nothing left to serve
     }
 }
-#else
-void
-WorkerGroup::workerMain(size_t, int)
-{
-    CASCADE_FATAL("forked workers are POSIX-only");
-}
-#endif
 
 void
 WorkerGroup::declareDead(size_t rank, const char *why)
 {
-#ifndef _WIN32
     Proc &p = procs_[rank];
     if (!p.alive)
         return;
@@ -346,24 +327,14 @@ WorkerGroup::declareDead(size_t rank, const char *why)
     writePidRoster();
     if (onDegrade_)
         onDegrade_(aliveWorkers() > 0 ? "worker-fold" : "worker-local");
-#else
-    (void)rank;
-    (void)why;
-#endif
 }
 
 bool
 WorkerGroup::sendCommand(size_t rank, const std::string &payload)
 {
-#ifndef _WIN32
     if (!procs_[rank].alive)
         return false;
     return writeFrameFd(procs_[rank].fd, payload);
-#else
-    (void)rank;
-    (void)payload;
-    return false;
-#endif
 }
 
 StepResult
@@ -408,7 +379,6 @@ WorkerGroup::runBatchInProcess(uint64_t globalBatch, size_t st,
 StepResult
 WorkerGroup::runBatchForked(uint64_t globalBatch, size_t st, size_t ed)
 {
-#ifndef _WIN32
     const auto assign = shardAssignment();
 
     // Dispatch compute to every alive worker with work; a failed send
@@ -523,12 +493,6 @@ WorkerGroup::runBatchForked(uint64_t globalBatch, size_t st, size_t ed)
             declareDead(rank, "apply not acknowledged");
     }
     return applyMergedUpdate(master_, data_, update);
-#else
-    (void)globalBatch;
-    (void)st;
-    (void)ed;
-    CASCADE_FATAL("forked workers are POSIX-only");
-#endif
 }
 
 StepResult
@@ -566,7 +530,6 @@ WorkerGroup::resyncReplicas()
         }
         return;
     }
-#ifndef _WIN32
     ByteWriter blob;
     master_.saveTrainingState(blob);
     ByteWriter w;
@@ -587,7 +550,6 @@ WorkerGroup::resyncReplicas()
         if (fs != FrameStatus::Ok || !r.u32(cmd) || cmd != kRspAck)
             declareDead(rank, "sync not acknowledged");
     }
-#endif
 }
 
 void
@@ -600,7 +562,6 @@ WorkerGroup::resetReplicas()
             m->resetState();
         return;
     }
-#ifndef _WIN32
     ByteWriter w;
     w.u32(kCmdReset);
     for (size_t rank = 0; rank < options_.workers; ++rank) {
@@ -618,7 +579,6 @@ WorkerGroup::resetReplicas()
         if (fs != FrameStatus::Ok || !r.u32(cmd) || cmd != kRspAck)
             declareDead(rank, "reset not acknowledged");
     }
-#endif
 }
 
 void
@@ -633,7 +593,6 @@ WorkerGroup::shutdown()
         replicas_.clear();
         return;
     }
-#ifndef _WIN32
     ByteWriter w;
     w.u32(kCmdShutdown);
     for (size_t rank = 0; rank < options_.workers; ++rank) {
@@ -663,7 +622,6 @@ WorkerGroup::shutdown()
     }
     if (!options_.pidFile.empty())
         (void)removeFileIfExists(options_.pidFile);
-#endif
 }
 
 } // namespace cascade

@@ -7,9 +7,6 @@
 
 #include "util/fault.hh"
 
-#ifdef _WIN32
-#include <io.h>
-#else
 #include <cerrno>
 #include <fcntl.h>
 #include <poll.h>
@@ -17,7 +14,6 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace cascade {
 
@@ -213,10 +209,6 @@ namespace {
 bool
 fsyncParentDir(const std::string &path)
 {
-#ifdef _WIN32
-    (void)path;
-    return true;
-#else
     const size_t slash = path.find_last_of('/');
     const std::string dir =
         slash == std::string::npos ? "." : path.substr(0, slash + 1);
@@ -226,7 +218,6 @@ fsyncParentDir(const std::string &path)
     const bool synced = ::fsync(fd) == 0;
     const bool closed = ::close(fd) == 0;
     return synced && closed;
-#endif
 }
 
 } // namespace
@@ -284,7 +275,6 @@ writeFileAtomic(const std::string &path, const std::string &payload)
     ok = ok &&
         (n_crc == 0 || std::fwrite(crc_bytes, 1, n_crc, f) == n_crc);
     ok = ok && std::fflush(f) == 0;
-#ifndef _WIN32
     // Durability: the data must hit the disk before the rename makes
     // it visible, or a power loss could expose a hollow rename.
     ok = ok && ::fsync(::fileno(f)) == 0;
@@ -294,7 +284,6 @@ writeFileAtomic(const std::string &path, const std::string &payload)
     // the page cache. Purely advisory — a failure is not an error.
     if (ok)
         (void)::posix_fadvise(::fileno(f), 0, 0, POSIX_FADV_DONTNEED);
-#endif
     // A failing close can be the *first* report of a write error
     // (delayed allocation on ENOSPC); it must not be dropped.
     ok = std::fclose(f) == 0 && ok;
@@ -310,16 +299,8 @@ writeFileAtomic(const std::string &path, const std::string &payload)
 bool
 fileExists(const std::string &path)
 {
-#ifdef _WIN32
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    (void)std::fclose(f);
-    return true;
-#else
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
-#endif
 }
 
 bool
@@ -374,8 +355,6 @@ readFileValidated(const std::string &path, std::string &payload)
     payload = std::move(data);
     return true;
 }
-
-#ifndef _WIN32
 
 AppendFile::~AppendFile()
 {
@@ -637,7 +616,5 @@ readFrameFd(int fd, std::string &payload, int timeout_ms)
     payload = std::move(body);
     return FrameStatus::Ok;
 }
-
-#endif // !_WIN32
 
 } // namespace cascade

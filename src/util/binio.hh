@@ -102,11 +102,11 @@ bool readFileValidated(const std::string &path, std::string &payload);
 
 /**
  * @name Checked filesystem primitives
- * The project-invariant linter forbids unchecked ::write/::close/
- * rename calls outside this TU (tools/lint_cascade.py, rule
- * `unchecked-io`); callers that need to move, probe, create or drop
- * files — checkpoint generation rotation, write-window markers — go
- * through these helpers instead of raw libc.
+ * The static checker (tools/lint_cascade.py, rule `unchecked-io`)
+ * forbids unchecked ::write/::close/rename calls outside this TU;
+ * callers that need to move, probe, create or drop files —
+ * checkpoint generation rotation, write-window markers — go through
+ * these helpers instead of raw libc.
  */
 /** @{ */
 

@@ -9,28 +9,27 @@
  * that defines the training trajectory is deterministic. Golden tests
  * enforce that invariant *dynamically*; this header is the static
  * half (DESIGN.md §15). Functions that define the trajectory are
- * marked CASCADE_TRAJECTORY, and `tools/detcheck.py` (the `scan`
- * preset / CI lane) walks the call graph from those roots and flags,
- * per rule:
+ * marked CASCADE_TRAJECTORY, and the reachability rules of
+ * `tools/lint_cascade.py` (every lint run; the `scan` preset / CI
+ * lane adds the compilation database) walk the call graph from those
+ * roots and flag, per rule:
  *
- *  - nondet-call        wall-clock, libc RNG, thread-id, PID reads
- *  - unordered-iter     iteration over std::unordered_{map,set}
- *  - addr-order         ordered containers keyed on raw pointers
- *                       (iteration order = allocation order)
- *  - unordered-reduce   std::reduce / transform_reduce / OpenMP
- *                       reductions (unspecified float fold order)
+ *  - nondet-call          wall-clock, libc RNG, thread-id, PID reads
+ *  - unordered-iteration  iteration over std::unordered_{map,set}
+ *  - addr-order           ordered containers keyed on raw pointers
+ *                         (iteration order = allocation order)
+ *  - unordered-reduce     std::reduce / transform_reduce / OpenMP
+ *                         reductions (unspecified float fold order)
  *
  * A finding is silenced only by CASCADE_NONDET_OK("reason") carrying
  * a written order-insensitivity argument — "why this cannot change
- * the trajectory", not "checker, be quiet". An empty reason is a
- * checker error. The waiver policy mirrors tools/tsan.supp: every
- * silence is justified in-line where the next reader will see it.
+ * the trajectory", not "checker, be quiet". An empty reason silences
+ * nothing and is itself reported wherever it appears. The waiver
+ * policy mirrors tools/tsan.supp: every silence is justified in-line
+ * where the next reader will see it.
  *
- * On Clang the macros also emit [[clang::annotate]] attributes so a
- * libclang-based walk (detcheck --engine clang, when the bindings are
- * installed) sees them in the AST; on GCC they compile away entirely
- * — zero codegen or layout difference, detcheck's portable engine
- * reads them lexically.
+ * Both macros expand to nothing — zero codegen or layout difference;
+ * the checker reads them lexically.
  *
  * What counts as trajectory-defining (the root set):
  *  - TgnnModel::stepForwardWithRng / advanceState — the forward pass
@@ -44,36 +43,21 @@
  * Observability (src/obs/, util/timer.hh, util/logging.hh) is
  * explicitly OUTSIDE the contract: metrics, traces and logs may read
  * clocks and thread-ids because nothing they produce feeds losses,
- * gradients, or serialized state. detcheck does not traverse into
- * those files.
+ * gradients, or serialized state. The checker does not traverse
+ * into those files.
  */
 
 #ifndef CASCADE_UTIL_DETERMINISM_HH
 #define CASCADE_UTIL_DETERMINISM_HH
 
-/* Attribute dispatch: Clang understands [[clang::annotate]] on both
- * declarations and statements; everything else compiles the markers
- * away. detcheck's portable engine matches the macro names
- * lexically, so the attributes are an AST convenience, not a
- * requirement. */
-#if defined(__clang__) && defined(__has_cpp_attribute)
-#if __has_cpp_attribute(clang::annotate)
-#define CASCADE_DETERMINISM_ANNOTATION(x) [[clang::annotate(x)]]
-#endif
-#endif
-#ifndef CASCADE_DETERMINISM_ANNOTATION
-#define CASCADE_DETERMINISM_ANNOTATION(x)
-#endif
-
 /**
  * Root marker: this function defines the training / serving
  * trajectory. Place it on the declaration (or the definition, for
- * free functions) — detcheck resolves roots by qualified name, so
- * marking either site covers both. Everything reachable from a root
+ * free functions) — the checker resolves roots by name, so marking
+ * either site covers both. Everything reachable from a root
  * is held to the determinism rules above.
  */
-#define CASCADE_TRAJECTORY \
-    CASCADE_DETERMINISM_ANNOTATION("cascade::trajectory")
+#define CASCADE_TRAJECTORY
 
 /**
  * Waiver: the flagged construct on this line (or the line directly
@@ -83,11 +67,11 @@
  *     CASCADE_NONDET_OK("max over size_t is commutative")
  *     for (NodeId n : touched_) ...
  *
- * or on the same line as a declaration. detcheck rejects an empty
- * reason and prints the reason with the waived finding in -v mode,
- * so a bogus justification is one `detcheck -v` away from review.
+ * or on the same line as a declaration. An empty reason waives
+ * nothing and is reported; `lint_cascade.py -v` prints each waived
+ * finding with its reason, so a bogus justification is one run away
+ * from review.
  */
-#define CASCADE_NONDET_OK(reason) \
-    CASCADE_DETERMINISM_ANNOTATION("cascade::nondet_ok:" reason)
+#define CASCADE_NONDET_OK(reason)
 
 #endif // CASCADE_UTIL_DETERMINISM_HH

@@ -18,7 +18,8 @@
  * std::mutex semantics — zero behavioral or layout difference, the
  * annotations are types-only metadata for the Clang analysis.
  *
- * Conventions (enforced by tools/lint_cascade.py):
+ * Conventions (enforced by the static checker, tools/lint_cascade.py,
+ * rules `raw-mutex` and `unguarded-mutex`):
  *  - `src/` code never declares a raw `std::mutex` or uses
  *    `std::lock_guard`/`std::unique_lock` directly; it uses
  *    AnnotatedMutex + LockGuard/UniqueLock from this header so every

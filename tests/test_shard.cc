@@ -317,8 +317,6 @@ TEST(WorkerGroup, ShardsDefaultToWorkerCount)
     EXPECT_NE(k1.finalState, k2.finalState);
 }
 
-#ifndef _WIN32
-
 TEST(WorkerGroup, ForkedRuntimeMatchesInProcess)
 {
     Fixture f;
@@ -399,5 +397,3 @@ TEST(WorkerGroup, ResumeUnderDifferentWorkerCount)
     // not the (shorter) observed trajectory.
     EXPECT_EQ(resumed.finalState, ref.finalState);
 }
-
-#endif // !_WIN32

@@ -8,12 +8,12 @@
 #   tools/check.sh <regex>    # same, only tests matching regex
 #   tools/check.sh -s [re]    # sanitize preset only (old behaviour)
 #   tools/check.sh -q         # quick static gate (seconds): the
-#                             # cascade linter self-test + tree scan,
-#                             # then the determinism checker
-#                             # (tools/detcheck.py) against the
-#                             # existing compile DB or a plain src/
-#                             # tree scan. Intended as a pre-commit
-#                             # hook.
+#                             # static checker's self-test, then its
+#                             # tree scan — file-scope rules plus the
+#                             # determinism call graph, from build/'s
+#                             # compile DB when present, else a plain
+#                             # src/ tree scan. Intended as a
+#                             # pre-commit hook.
 #
 # Static steps (lint, clang-tidy, the clang analyze preset, the
 # determinism scan lane) run first so the cheap failures arrive before
@@ -24,10 +24,9 @@ set -e
 cd "$(dirname "$0")/.."
 
 # ------------------------------------------------------------------
-# Stage 1: Cascade-invariant linter (replaces the hand-rolled
-# deprecated-API grep this script used to carry; the rule now lives in
-# lint_cascade.py as `deprecated-api` alongside the determinism,
-# iostream, metric-name, and raw-mutex contracts).
+# Stage 1: the static checker (tools/lint_cascade.py): project
+# contracts and the determinism call graph in one pass. Never needs a
+# configure: without a compile DB it scans the src/ tree directly.
 # ------------------------------------------------------------------
 run_lint() {
     python3 tools/lint_cascade.py --self-test
@@ -36,13 +35,7 @@ run_lint() {
 
 if [ "${1:-}" = "-q" ]; then
     run_lint
-    # Determinism contract, seconds-fast: self-test the checker, then
-    # walk the trajectory call graph. Reuses an existing compilation
-    # database when one is around; otherwise detcheck falls back to a
-    # plain src/ tree scan, so the gate never needs a configure.
-    python3 tools/detcheck.py --self-test
-    python3 tools/detcheck.py
-    echo "check.sh -q: lint + detcheck clean"
+    echo "check.sh -q: lint_cascade clean"
     exit 0
 fi
 
@@ -92,7 +85,7 @@ else
 fi
 
 # ------------------------------------------------------------------
-# Stage 4: determinism scan lane — detcheck self-test, clean-tree
+# Stage 4: determinism scan lane — checker self-test, clean-tree
 # pass, seeded-violation negative check, CSA when clang++ exists
 # (tools/scan.sh skips it with a notice otherwise).
 # ------------------------------------------------------------------

@@ -1,12 +1,18 @@
 #!/bin/sh
 # Determinism scan lane (DESIGN.md "Determinism contract").
 #
-#   tools/scan.sh           # full lane: detcheck self-test, clean-tree
-#                           # detcheck pass, seeded-violation negative
-#                           # check (the gate MUST fail on the fixture),
-#                           # then the Clang Static Analyzer over src/
-#                           # when clang++ is installed
+#   tools/scan.sh           # full lane: checker self-test, clean-tree
+#                           # pass against the compilation database,
+#                           # seeded-violation negative check (the gate
+#                           # MUST fail on the fixture), then the Clang
+#                           # Static Analyzer over src/ when clang++ is
+#                           # installed
 #   tools/scan.sh --no-csa  # skip the Clang Static Analyzer pass
+#
+# The checker is tools/lint_cascade.py; here it gets the scan
+# preset's compile_commands.json (-p build-scan), which is how the
+# seeded fixture enters its call graph. CI's scan job runs this script
+# and nothing else, so each stage below runs once.
 #
 # The lane is bidirectional by construction, mirroring the analyze
 # preset's seeded thread-safety check: a clean tree must pass AND a
@@ -24,31 +30,31 @@ cd "$(dirname "$0")/.."
 # fixture and stay quiet on the clean one before we trust it on the
 # real tree.
 # ------------------------------------------------------------------
-python3 tools/detcheck.py --self-test
+python3 tools/lint_cascade.py --self-test
 
 # ------------------------------------------------------------------
 # Stage 2: clean tree must pass. The scan preset only needs to
-# *configure* — detcheck and the CSA read compile_commands.json, no
-# object files required.
+# *configure* — the checker and the CSA read compile_commands.json,
+# no object files required.
 # ------------------------------------------------------------------
 cmake --preset scan -DCASCADE_SEED_DET_VIOLATION=OFF >/dev/null
-python3 tools/detcheck.py -p build-scan
-echo "scan.sh: clean tree passed detcheck"
+python3 tools/lint_cascade.py -p build-scan -v
+echo "scan.sh: clean tree passed lint_cascade"
 
 # ------------------------------------------------------------------
 # Stage 3: seeded tree must FAIL. -DCASCADE_SEED_DET_VIOLATION=ON
 # puts the deliberate-violation TU into the compilation database; if
-# detcheck still passes, the checker has been silently broken.
+# the checker still passes, it has been silently broken.
 # ------------------------------------------------------------------
 cmake --preset scan -DCASCADE_SEED_DET_VIOLATION=ON >/dev/null
-if python3 tools/detcheck.py -p build-scan > detviolation.log 2>&1; then
-    echo "scan.sh: detcheck accepted the seeded determinism" \
+if python3 tools/lint_cascade.py -p build-scan > detviolation.log 2>&1; then
+    echo "scan.sh: lint_cascade accepted the seeded determinism" \
          "violation — the gate is dead" >&2
     cat detviolation.log >&2
     exit 1
 fi
 if ! grep -q "detcheck_violation_fixture" detviolation.log; then
-    echo "scan.sh: detcheck failed for a reason other than the" \
+    echo "scan.sh: lint_cascade failed for a reason other than the" \
          "seeded fixture:" >&2
     cat detviolation.log >&2
     exit 1
