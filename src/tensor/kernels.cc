@@ -1,14 +1,14 @@
 /**
  * @file
- * Blocked, thread-pool-parallel kernel implementations.
+ * Packed, thread-pool-parallel kernel implementations.
  *
  * This translation unit is compiled with elevated optimization flags
- * (see src/tensor/CMakeLists.txt): the micro-kernels are written as
- * plain fixed-trip-count loops so the compiler can vectorize them for
- * whatever SIMD width the build machine has. Everything observable —
- * accumulation order per output element, banding, tail handling — is
- * independent of those flags' *structure*; see the determinism
- * contract in kernels.hh.
+ * (see src/tensor/CMakeLists.txt): the GEMM microkernel is written
+ * with GCC vector extensions sized to the compile target's SIMD
+ * registers, and the other kernels as plain loops the compiler
+ * vectorizes. Everything observable — accumulation order per output
+ * element, banding, tail handling — is independent of those flags'
+ * *structure*; see the determinism contract in kernels.hh.
  */
 
 #include "tensor/kernels.hh"
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -73,8 +74,10 @@ bump(std::atomic<uint64_t> &local, std::atomic<obs::Counter *> &ctr,
 class BufferPool
 {
   public:
+    /** A buffer of n floats; zeroed on request (a miss is always
+     *  zeroed, since std::vector value-initializes). */
     std::vector<float>
-    acquire(size_t n)
+    acquire(size_t n, bool zeroed)
     {
         // Only the free-list scan runs under the shard mutex; the
         // O(n) resize (zero-fill of the grown region) happens after
@@ -111,6 +114,8 @@ class BufferPool
         if (hit) {
             bump(poolHits, bound.poolHits);
             buf.resize(n);
+            if (zeroed)
+                std::fill(buf.begin(), buf.end(), 0.0f);
             return buf;
         }
         bump(poolMisses, bound.poolMisses);
@@ -179,10 +184,29 @@ class BufferPool
 /* ------------------------------------------------------------------ */
 /* GEMM core                                                           */
 
-/** Register tile: MR output rows x NR output columns (NR floats span
- *  several SIMD vectors at any width up to 512-bit). */
-constexpr size_t MR = 4;
-constexpr size_t NR = 64;
+/** SIMD register width of the compile target, in bytes: the one
+ *  constant the register tile is derived from. */
+#if defined(__AVX512F__)
+constexpr size_t kVecBytes = 64;
+#elif defined(__AVX__)
+constexpr size_t kVecBytes = 32;
+#else
+constexpr size_t kVecBytes = 16;
+#endif
+
+/** One SIMD register of floats (GCC vector extension). */
+typedef float Vec __attribute__((vector_size(kVecBytes)));
+constexpr size_t kVecFloats = kVecBytes / sizeof(float);
+
+/**
+ * Register tile: MR output rows x NR output columns, NR = two vectors.
+ * The MR*2 accumulators plus two B vectors and one broadcast A value
+ * must fit the vector register file: 8x2+3 = 19 of AVX-512's 32,
+ * 6x2+3 = 15 of the 16 below it.
+ */
+constexpr size_t NV = 2;
+constexpr size_t NR = NV * kVecFloats;
+constexpr size_t MR = kVecBytes == 64 ? 8 : 6;
 
 /**
  * Minimum flops *per worker* for banding to pay off. The cutover must
@@ -195,72 +219,255 @@ constexpr size_t NR = 64;
  */
 constexpr uint64_t kMinParallelFlopsPerThread = 1ull << 22;
 
-/**
- * C tile-range kernel: rows [MR*tile_lo, min(MR*tile_hi, m)) of
- * C (+)= A * B with A m x k, B k x n, all row-major and dense.
- *
- * Accumulation order per output element is p = 0..k-1 in both the
- * register-tiled body and the edge path, so the result does not depend
- * on which band a row lands in.
- */
-void
-gemmTiles(const float *A, const float *B, float *C, size_t m, size_t k,
-          size_t n, bool accumulate, size_t tile_lo, size_t tile_hi)
+inline Vec
+loadVec(const float *p)
 {
-    for (size_t t = tile_lo; t < tile_hi; ++t) {
-        const size_t i0 = t * MR;
-        const size_t im = std::min(MR, m - i0);
-        for (size_t j0 = 0; j0 < n; j0 += NR) {
-            const size_t jn = std::min(NR, n - j0);
-            if (im == MR && jn == NR) {
-                float acc[MR][NR];
-                if (accumulate) {
-                    for (size_t i = 0; i < MR; ++i)
-                        for (size_t j = 0; j < NR; ++j)
-                            acc[i][j] = C[(i0 + i) * n + j0 + j];
-                } else {
-                    for (size_t i = 0; i < MR; ++i)
-                        for (size_t j = 0; j < NR; ++j)
-                            acc[i][j] = 0.0f;
-                }
-                for (size_t p = 0; p < k; ++p) {
-                    const float *brow = B + p * n + j0;
-                    for (size_t i = 0; i < MR; ++i) {
-                        const float av = A[(i0 + i) * k + p];
-                        for (size_t j = 0; j < NR; ++j)
-                            acc[i][j] += av * brow[j];
-                    }
-                }
-                for (size_t i = 0; i < MR; ++i)
-                    for (size_t j = 0; j < NR; ++j)
-                        C[(i0 + i) * n + j0 + j] = acc[i][j];
-            } else {
-                for (size_t i = 0; i < im; ++i) {
-                    float *crow = C + (i0 + i) * n + j0;
-                    if (!accumulate)
-                        std::memset(crow, 0, jn * sizeof(float));
-                    const float *arow = A + (i0 + i) * k;
-                    for (size_t p = 0; p < k; ++p) {
-                        const float av = arow[p];
-                        const float *brow = B + p * n + j0;
-                        for (size_t j = 0; j < jn; ++j)
-                            crow[j] += av * brow[j];
-                    }
-                }
-            }
+    Vec v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void
+storeVec(float *p, Vec v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+/**
+ * The microkernel: one R x NR tile C (+)= Ap * Bp over the full k,
+ * R <= MR. Ap holds MR floats per p (a packed row panel, of which the
+ * first R are read); Bp holds NR floats per p at stride ldb (a packed
+ * column panel, ldb = NR, or B read in place, ldb = n). Each
+ * accumulator takes exactly one multiply-add per p = 0..k-1, in order,
+ * starting from C (accumulate) or 0.
+ */
+template <size_t R>
+inline void
+microTile(size_t k, const float *Ap, const float *Bp, size_t ldb,
+          float *C, size_t ldc, bool accumulate)
+{
+    Vec acc[R][NV];
+    for (size_t i = 0; i < R; ++i)
+        for (size_t v = 0; v < NV; ++v)
+            acc[i][v] = accumulate ? loadVec(C + i * ldc + v * kVecFloats)
+                                   : Vec{};
+    for (size_t p = 0; p < k; ++p) {
+        Vec b[NV];
+        for (size_t v = 0; v < NV; ++v)
+            b[v] = loadVec(Bp + p * ldb + v * kVecFloats);
+        for (size_t i = 0; i < R; ++i) {
+            const float av = Ap[p * MR + i];
+            for (size_t v = 0; v < NV; ++v)
+                acc[i][v] += av * b[v];
         }
+    }
+    for (size_t i = 0; i < R; ++i)
+        for (size_t v = 0; v < NV; ++v)
+            storeVec(C + i * ldc + v * kVecFloats, acc[i][v]);
+}
+
+/** Pool-backed packing scratch, 64-byte aligned, returned on scope
+ *  exit. Each call owns its own; nothing is shared between calls. */
+class PackBuffer
+{
+  public:
+    explicit PackBuffer(size_t floats)
+        : buf_(BufferPool::global().acquire(floats + kAlignFloats,
+                                            /*zeroed=*/false))
+    {
+        void *p = buf_.data();
+        size_t space = buf_.size() * sizeof(float);
+        data_ = static_cast<float *>(
+            std::align(64, floats * sizeof(float), p, space));
+    }
+    ~PackBuffer() { BufferPool::global().release(std::move(buf_)); }
+    PackBuffer(const PackBuffer &) = delete;
+    PackBuffer &operator=(const PackBuffer &) = delete;
+
+    float *data() const { return data_; }
+
+  private:
+    static constexpr size_t kAlignFloats = 64 / sizeof(float);
+    std::vector<float> buf_;
+    float *data_ = nullptr;
+};
+
+/** Rows/cols of op(t). */
+inline size_t
+opRows(Trans t, const Tensor &x)
+{
+    return t == Trans::None ? x.rows() : x.cols();
+}
+inline size_t
+opCols(Trans t, const Tensor &x)
+{
+    return t == Trans::None ? x.cols() : x.rows();
+}
+
+/**
+ * One product C (+)= op(A) * op(B), C m x n row-major. The operands
+ * are read as stored, through strides: op(A)[i][p] is
+ * a[i*aRow + p*aCol] and op(B)[p][j] is b[p*bRow + j*bCol], so a
+ * transposed operand is just a swapped stride pair.
+ */
+struct GemmProblem
+{
+    const float *a;
+    size_t aRow, aCol;
+    const float *b;
+    size_t bRow, bCol;
+    float *c;
+    size_t m, k, n;
+    bool accumulate;
+};
+
+/**
+ * Pack a W-wide panel of k groups: dst[p*W + r] = src[r*rs + p*cs] for
+ * r < valid, zero for valid <= r < W. A full panel whose rows are
+ * contiguous (rs == 1) is copied W floats at a time; otherwise the
+ * panel is zeroed once and filled along src's contiguous axis.
+ */
+template <size_t W>
+void
+packPanel(const float *src, size_t rs, size_t cs, size_t valid, size_t k,
+          float *dst)
+{
+    if (rs == 1 && valid == W) {
+        for (size_t p = 0; p < k; ++p)
+            std::memcpy(dst + p * W, src + p * cs, W * sizeof(float));
+        return;
+    }
+    if (valid < W)
+        std::fill(dst, dst + k * W, 0.0f);
+    for (size_t r = 0; r < valid; ++r) {
+        const float *s = src + r * rs;
+        for (size_t p = 0; p < k; ++p)
+            dst[p * W + r] = s[p * cs];
     }
 }
 
-/** Dense C (+)= A*B over the thread pool (deterministic row bands). */
+/** Rows [i0, i0+MR) of op(A), zero-padded past row m. */
 void
-gemmDense(const float *A, const float *B, float *C, size_t m, size_t k,
-          size_t n, bool accumulate)
+packA(const GemmProblem &g, size_t i0, float *dst)
 {
-    if (m == 0 || n == 0)
+    packPanel<MR>(g.a + i0 * g.aRow, g.aRow, g.aCol,
+                  std::min(MR, g.m - i0), g.k, dst);
+}
+
+/** Columns [j0, j0+NR) of op(B), zero-padded past column n. */
+void
+packB(const GemmProblem &g, size_t j0, float *dst)
+{
+    packPanel<NR>(g.b + j0 * g.bCol, g.bCol, g.bRow,
+                  std::min(NR, g.n - j0), g.k, dst);
+}
+
+/**
+ * Output tile at (i0, j0), R rows tall, from a packed A panel and a B
+ * panel at stride ldb. Edge tiles run the same microkernel on a local
+ * R x NR copy of the valid region (zero elsewhere), so every element
+ * sees the same arithmetic wherever its tile boundary falls.
+ */
+template <size_t R>
+void
+computeTileRows(const GemmProblem &g, size_t i0, size_t j0,
+                const float *Ap, const float *Bp, size_t ldb)
+{
+    const size_t im = std::min(R, g.m - i0);
+    const size_t jn = std::min(NR, g.n - j0);
+    float *C = g.c + i0 * g.n + j0;
+    if (im == R && jn == NR) {
+        microTile<R>(g.k, Ap, Bp, ldb, C, g.n, g.accumulate);
         return;
-    const size_t tiles = (m + MR - 1) / MR;
-    const uint64_t flops = 2ull * m * k * n;
+    }
+    alignas(64) float tile[R * NR] = {};
+    if (g.accumulate)
+        for (size_t i = 0; i < im; ++i)
+            std::memcpy(tile + i * NR, C + i * g.n, jn * sizeof(float));
+    microTile<R>(g.k, Ap, Bp, ldb, tile, NR, g.accumulate);
+    for (size_t i = 0; i < im; ++i)
+        std::memcpy(C + i * g.n, tile + i * NR, jn * sizeof(float));
+}
+
+/** A tile of at most MR/2 live rows (the serve path's 4-row queries,
+ *  a product's last row tile) runs a half-height kernel instead of
+ *  multiplying padding: serve-live's throughput is about 1.16x that of
+ *  the full-height tile on the zero-padded panel. */
+void
+computeTile(const GemmProblem &g, size_t i0, size_t j0, const float *Ap,
+            const float *Bp, size_t ldb)
+{
+    if (g.m - i0 <= MR / 2)
+        computeTileRows<MR / 2>(g, i0, j0, Ap, Bp, ldb);
+    else
+        computeTileRows<MR>(g, i0, j0, Ap, Bp, ldb);
+}
+
+/**
+ * Row tiles [tile_lo, tile_hi) against every packed column panel. Each
+ * row tile's A panel is packed into this band's own scratch and used
+ * against all column panels before the next is packed.
+ */
+void
+gemmTiles(const GemmProblem &g, const float *Bpack, size_t tile_lo,
+          size_t tile_hi)
+{
+    PackBuffer apack(g.k * MR);
+    for (size_t t = tile_lo; t < tile_hi; ++t) {
+        packA(g, t * MR, apack.data());
+        for (size_t j0 = 0; j0 < g.n; j0 += NR)
+            computeTile(g, t * MR, j0, apack.data(), Bpack + j0 * g.k,
+                        NR);
+    }
+}
+
+/**
+ * A product that fits one row tile (the serve path's few-row queries):
+ * B is read in place where its rows are contiguous, so the O(k*n) pack
+ * does not dwarf the O(m*k*n) multiply. A transposed B, and the last
+ * partial column panel of a plain one, are packed one panel at a time.
+ */
+void
+gemmSingleTile(const GemmProblem &g)
+{
+    const size_t in_place = g.bCol == 1 ? g.n / NR * NR : 0;
+    PackBuffer pack(g.k * MR + (in_place < g.n ? g.k * NR : 0));
+    float *apack = pack.data(), *bpack = apack + g.k * MR;
+    packA(g, 0, apack);
+    for (size_t j0 = 0; j0 < in_place; j0 += NR)
+        computeTile(g, 0, j0, apack, g.b + j0, g.bRow);
+    for (size_t j0 = in_place; j0 < g.n; j0 += NR) {
+        packB(g, j0, bpack);
+        computeTile(g, 0, j0, apack, bpack, NR);
+    }
+}
+
+/**
+ * C (+)= op(A) * op(B) over the thread pool. op(B) is packed once into
+ * NR-column panels; row tiles are banded deterministically across
+ * workers, each band packing its own A panels.
+ */
+void
+gemmPacked(const GemmProblem &g)
+{
+    if (g.m == 0 || g.n == 0)
+        return;
+    if (g.k == 0) { // empty sums: C keeps its value, or becomes 0
+        if (!g.accumulate)
+            std::fill(g.c, g.c + g.m * g.n, 0.0f);
+        return;
+    }
+    if (g.m <= MR) {
+        gemmSingleTile(g);
+        return;
+    }
+    const size_t tiles = (g.m + MR - 1) / MR;
+    const size_t panels = (g.n + NR - 1) / NR;
+    PackBuffer bpack(panels * g.k * NR);
+    for (size_t jp = 0; jp < panels; ++jp)
+        packB(g, jp * NR, bpack.data() + jp * g.k * NR);
+
+    const uint64_t flops = 2ull * g.m * g.k * g.n;
     // globalThreadsRequested, not globalThreads: the heuristic must
     // not force the pool into existence in processes that will only
     // ever take the serial branch (fork()ed single-thread workers).
@@ -271,11 +478,11 @@ gemmDense(const float *A, const float *B, float *C, size_t m, size_t k,
         parallelForChunks(
             0, tiles,
             [&](size_t lo, size_t hi) {
-                gemmTiles(A, B, C, m, k, n, accumulate, lo, hi);
+                gemmTiles(g, bpack.data(), lo, hi);
             },
             /*grain=*/1);
     } else {
-        gemmTiles(A, B, C, m, k, n, accumulate, 0, tiles);
+        gemmTiles(g, bpack.data(), 0, tiles);
     }
 }
 
@@ -295,18 +502,6 @@ transposeInto(const float *src, float *dst, size_t r, size_t c)
     }
 }
 
-/** Rows/cols of op(t). */
-inline size_t
-opRows(Trans t, const Tensor &x)
-{
-    return t == Trans::None ? x.rows() : x.cols();
-}
-inline size_t
-opCols(Trans t, const Tensor &x)
-{
-    return t == Trans::None ? x.cols() : x.rows();
-}
-
 /** Shared gemm/gemmAcc body; out must be pre-shaped m x n. */
 void
 gemmInto(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
@@ -316,31 +511,11 @@ gemmInto(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
     CASCADE_CHECK(opRows(tb, b) == k, "gemm inner dim mismatch");
     CASCADE_CHECK(out.rows() == m && out.cols() == n,
                   "gemm output shape mismatch");
-    CASCADE_CHECK(&out != &a && &out != &b, "gemm output aliases input");
     bump(gemmCalls, bound.gemmCalls);
     bump(gemmFlops, bound.gemmFlops, 2ull * m * k * n);
-
-    // Transposed operands are materialized once (O(r*c) vs the
-    // O(m*k*n) multiply) so a single dense kernel serves all four
-    // combinations; scratch cycles through the buffer pool.
-    Tensor ta_scratch, tb_scratch;
-    const float *A = a.data();
-    const float *B = b.data();
-    if (ta == Trans::Transpose) {
-        ta_scratch = uninit(a.cols(), a.rows());
-        transposeInto(a.data(), ta_scratch.data(), a.rows(), a.cols());
-        A = ta_scratch.data();
-    }
-    if (tb == Trans::Transpose) {
-        tb_scratch = uninit(b.cols(), b.rows());
-        transposeInto(b.data(), tb_scratch.data(), b.rows(), b.cols());
-        B = tb_scratch.data();
-    }
-
-    gemmDense(A, B, out.data(), m, k, n, accumulate);
-
-    recycle(std::move(ta_scratch));
-    recycle(std::move(tb_scratch));
+    const bool at = ta == Trans::Transpose, bt = tb == Trans::Transpose;
+    gemmPacked({a.data(), at ? 1 : k, at ? m : 1, b.data(), bt ? 1 : n,
+                bt ? k : 1, out.data(), m, k, n, accumulate});
 }
 
 } // namespace
@@ -351,6 +526,9 @@ gemmInto(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
 void
 gemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b, Tensor &out)
 {
+    // Before the reshape: recycling an aliased out would free the
+    // caller's input.
+    CASCADE_CHECK(&out != &a && &out != &b, "gemm output aliases input");
     const size_t m = opRows(ta, a), n = opCols(tb, b);
     if (out.rows() != m || out.cols() != n) {
         recycle(std::move(out));
@@ -363,6 +541,7 @@ void
 gemmAcc(Trans ta, Trans tb, const Tensor &a, const Tensor &b,
         Tensor &out)
 {
+    CASCADE_CHECK(&out != &a && &out != &b, "gemm output aliases input");
     gemmInto(ta, tb, a, b, out, /*accumulate=*/true);
 }
 
@@ -391,22 +570,24 @@ transpose(const Tensor &a, Tensor &out)
 Tensor
 zeros(size_t rows, size_t cols)
 {
-    std::vector<float> buf = BufferPool::global().acquire(rows * cols);
-    std::fill(buf.begin(), buf.end(), 0.0f);
-    return Tensor(rows, cols, std::move(buf));
+    return Tensor(rows, cols,
+                  BufferPool::global().acquire(rows * cols,
+                                               /*zeroed=*/true));
 }
 
 Tensor
 uninit(size_t rows, size_t cols)
 {
     return Tensor(rows, cols,
-                  BufferPool::global().acquire(rows * cols));
+                  BufferPool::global().acquire(rows * cols,
+                                               /*zeroed=*/false));
 }
 
 Tensor
 copyOf(const Tensor &src)
 {
-    std::vector<float> buf = BufferPool::global().acquire(src.size());
+    std::vector<float> buf =
+        BufferPool::global().acquire(src.size(), /*zeroed=*/false);
     if (src.size() > 0)
         std::memcpy(buf.data(), src.data(), src.size() * sizeof(float));
     return Tensor(src.rows(), src.cols(), std::move(buf));

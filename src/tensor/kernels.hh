@@ -11,21 +11,29 @@
  *    accumulates into `out` so backward passes scatter straight into
  *    gradient tensors without a temporary.
  *
- *  - Cache-blocked, register-tiled compute. The kernel walks MR x NR
- *    output tiles with the full-k dot product held in registers, so
- *    each output element is accumulated in the fixed order
- *    p = 0..k-1 regardless of tiling, banding or thread count.
+ *  - Packed, register-tiled compute. Each call packs op(A) into
+ *    MR-row panels and op(B) into NR-column panels, reading transposed
+ *    operands through strides (no transposed copy is made), then a
+ *    microkernel keeps an MR x NR accumulator tile in vector registers
+ *    (GCC vector extensions at the compile target's SIMD width) for
+ *    the full k. Products of at most MR rows (the serve path's few-row
+ *    queries) read a row-major B in place instead of packing it.
+ *
+ *  - One accumulation order. Every output element starts from C
+ *    (gemmAcc) or 0 and takes one multiply-add per p = 0..k-1, in
+ *    order, whatever its tile, edge handling, band or thread count.
  *
  *  - Deterministic parallelism. Large GEMMs are split into row-tile
  *    bands over the global ThreadPool. Because a band boundary never
  *    changes the per-element accumulation order, results are
  *    bit-identical for *any* thread count — stronger than the
- *    fixed-thread-count contract PR 1's golden-trajectory test needs.
+ *    fixed-thread-count contract the golden-trajectory test needs.
  *
  *  - A thread-safe buffer pool. Autograd nodes return their tensor
- *    storage here on destruction; ops acquire forward outputs and
- *    gradients from it, so a steady-state training step performs no
- *    per-op heap allocation after warm-up.
+ *    storage here on destruction; ops acquire forward outputs,
+ *    gradients and the GEMM packing scratch from it. It is bounded,
+ *    so a training step still heap-allocates whenever a free list
+ *    runs dry (the hit rate is reported by kernels::stats()).
  *
  *  - Observability. Kernel invocations, GEMM flops and pool hit/miss
  *    tallies are always counted; bindMetrics() additionally publishes

@@ -80,10 +80,11 @@ Variable::backward() const
     }
 
     // Intermediate (non-leaf) gradients are scratch space: clear them
-    // so repeated backward() calls accumulate into leaves only.
+    // so repeated backward() calls accumulate into leaves only. One not
+    // yet created is made zero by ensureGrad() when first used.
     for (detail::Node *n : topo) {
-        if (n->backward)
-            n->ensureGrad().fill(0.0f);
+        if (n->backward && n->gradReady)
+            n->grad.fill(0.0f);
     }
 
     node_->ensureGrad().fill(1.0f);

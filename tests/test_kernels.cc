@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -48,9 +49,10 @@ makeOperand(Trans t, size_t logical_rows, size_t logical_cols, Rng &rng)
 struct Shape { size_t m, k, n; };
 
 /**
- * Shapes chosen to exercise the MR=4 / NR=64 register-tile edges:
- * degenerate vectors, sub-tile, exact-tile and off-by-one sizes, plus
- * one shape large enough to cross the parallel-dispatch threshold.
+ * Shapes chosen to exercise register-tile edges at any SIMD width
+ * (MR is 6 or 8 rows, NR 8, 16 or 32 columns): degenerate vectors,
+ * sub-tile, exact-tile and off-by-one sizes, plus one shape large
+ * enough to cross the parallel-dispatch threshold.
  */
 const Shape kShapes[] = {
     {1, 1, 1},   {1, 7, 1},   {3, 5, 7},    {4, 16, 64},
@@ -58,24 +60,89 @@ const Shape kShapes[] = {
     {130, 70, 66},
 };
 
+const Trans kTrans[] = {Trans::None, Trans::Transpose};
+
+/** Bitwise equality of two equally-shaped tensors. */
+void
+expectSameBits(const Tensor &a, const Tensor &b, const std::string &what)
+{
+    ASSERT_TRUE(a.sameShape(b)) << what;
+    for (size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(a.data()[i], b.data()[i]) << what << " at " << i;
+}
+
+/** Rows [r0, r1) of op(x) as an operand stored in the same orientation
+ *  (rows of x, or columns of a transposed x). */
+Tensor
+opRowSlice(Trans t, const Tensor &x, size_t r0, size_t r1)
+{
+    if (t == Trans::None) {
+        Tensor out(r1 - r0, x.cols());
+        for (size_t r = r0; r < r1; ++r)
+            for (size_t c = 0; c < x.cols(); ++c)
+                out.at(r - r0, c) = x.at(r, c);
+        return out;
+    }
+    Tensor out(x.rows(), r1 - r0);
+    for (size_t r = 0; r < x.rows(); ++r)
+        for (size_t c = r0; c < r1; ++c)
+            out.at(r, c - r0) = x.at(r, c);
+    return out;
+}
+
+/** gemm (acc=false) or gemmAcc into a copy of base (acc=true). */
+Tensor
+runGemm(Trans ta, Trans tb, const Tensor &a, const Tensor &b, bool acc,
+        const Tensor &base)
+{
+    if (!acc)
+        return kernels::gemm(ta, tb, a, b);
+    Tensor out = base;
+    kernels::gemmAcc(ta, tb, a, b, out);
+    return out;
+}
+
 } // namespace
 
 TEST(KernelGemm, MatchesNaiveOracleAllTransposeCombos)
 {
+    // kShapes, plus every m up to 17 against n around each possible NR
+    // (8, 16, 32): m = 1, m = MR+-1, n = 1 (the GAT score column) and
+    // n = NR+-1 on any build, at k = 0, 1 and 19.
+    std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+    for (size_t m = 1; m <= 17; ++m)
+        for (size_t n : {1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 65})
+            for (size_t k : {0, 1, 19})
+                shapes.push_back({m, k, n});
+
     Rng rng(11);
-    for (const Shape &s : kShapes) {
-        for (Trans ta : {Trans::None, Trans::Transpose}) {
-            for (Trans tb : {Trans::None, Trans::Transpose}) {
+    for (const Shape &s : shapes) {
+        for (Trans ta : kTrans) {
+            for (Trans tb : kTrans) {
                 Tensor a = makeOperand(ta, s.m, s.k, rng);
                 Tensor b = makeOperand(tb, s.k, s.n, rng);
+                Tensor base = Tensor::randn(s.m, s.n, rng);
                 Tensor got = kernels::gemm(ta, tb, a, b);
+                Tensor acc = runGemm(ta, tb, a, b, /*acc=*/true, base);
                 Tensor want = kernels::naiveGemm(ta, tb, a, b);
+                Tensor want_acc = base;
+                want_acc += want;
                 // Same-magnitude float sums in a different order; the
-                // bound scales with the reduction length.
+                // bound scales with the reduction length, which gemmAcc
+                // makes one longer (the starting C).
                 const double tol = 1e-4 * std::sqrt(double(s.k));
+                const double tol_acc = 1e-4 * std::sqrt(double(s.k) + 1.0);
                 EXPECT_LE(maxAbsDiff(got, want), tol)
                     << "m=" << s.m << " k=" << s.k << " n=" << s.n
                     << " ta=" << int(ta) << " tb=" << int(tb);
+                EXPECT_LE(maxAbsDiff(acc, want_acc), tol_acc)
+                    << "acc m=" << s.m << " k=" << s.k << " n=" << s.n
+                    << " ta=" << int(ta) << " tb=" << int(tb);
+                if (s.k == 0) { // an empty sum, exactly
+                    for (size_t i = 0; i < got.size(); ++i)
+                        ASSERT_EQ(got.data()[i], 0.0f);
+                    expectSameBits(acc, base, "k=0 gemmAcc");
+                }
             }
         }
     }
@@ -83,26 +150,79 @@ TEST(KernelGemm, MatchesNaiveOracleAllTransposeCombos)
 
 TEST(KernelGemm, BitIdenticalAcrossThreadCounts)
 {
-    // 256^3 * 2 = 33.5 Mflop: well past the parallel-dispatch
-    // threshold, so thread count actually varies the banding.
+    // 2*260*256*264 = 35 Mflop crosses the parallel-dispatch cutover
+    // even at 8 threads (8 * 2^22), so every pinned count really
+    // bands the rows; the odd m and n leave partial row and column
+    // tiles.
+    const size_t m = 260, k = 256, n = 264;
     Rng rng(13);
-    Tensor a = Tensor::randn(256, 256, rng);
-    Tensor b = Tensor::randn(256, 256, rng);
-
-    std::vector<Tensor> results;
-    for (size_t threads : {1u, 2u, 8u}) {
-        ThreadPool::setGlobalThreads(threads);
-        results.push_back(kernels::gemm(Trans::None, Trans::None, a, b));
-    }
-    ThreadPool::setGlobalThreads(0);
-
-    for (size_t i = 1; i < results.size(); ++i) {
-        ASSERT_TRUE(results[0].sameShape(results[i]));
-        for (size_t j = 0; j < results[0].size(); ++j) {
-            ASSERT_EQ(results[0].data()[j], results[i].data()[j])
-                << "thread-count variant " << i << " diverged at " << j;
+    for (Trans ta : kTrans) {
+        for (Trans tb : kTrans) {
+            const Tensor a = makeOperand(ta, m, k, rng);
+            const Tensor b = makeOperand(tb, k, n, rng);
+            const Tensor base = Tensor::randn(m, n, rng);
+            for (bool acc : {false, true}) {
+                std::vector<Tensor> results;
+                for (size_t threads : {1u, 2u, 8u}) {
+                    ThreadPool::setGlobalThreads(threads);
+                    results.push_back(runGemm(ta, tb, a, b, acc, base));
+                }
+                ThreadPool::setGlobalThreads(0);
+                const std::string what = "ta=" + std::to_string(int(ta)) +
+                    " tb=" + std::to_string(int(tb)) +
+                    " acc=" + std::to_string(acc);
+                for (size_t i = 1; i < results.size(); ++i)
+                    expectSameBits(results[0], results[i], what);
+            }
         }
     }
+}
+
+TEST(KernelGemm, RowSliceEqualsRowsOfFullProduct)
+{
+    // A block of rows computed on its own lands at other tile
+    // boundaries (and blocks of a few rows take the single-tile path
+    // that reads B in place), yet each element's arithmetic is the
+    // same, so the bits must be too.
+    const size_t m = 37, k = 45, n = 70;
+    const std::pair<size_t, size_t> blocks[] = {
+        {0, 1}, {1, 4}, {3, 7}, {5, 13}, {8, 16}, {9, 26}, {30, 37}};
+    Rng rng(43);
+    for (Trans ta : kTrans) {
+        for (Trans tb : kTrans) {
+            const Tensor a = makeOperand(ta, m, k, rng);
+            const Tensor b = makeOperand(tb, k, n, rng);
+            const Tensor base = Tensor::randn(m, n, rng);
+            for (bool acc : {false, true}) {
+                const Tensor full = runGemm(ta, tb, a, b, acc, base);
+                for (auto [r0, r1] : blocks) {
+                    const Tensor part =
+                        runGemm(ta, tb, opRowSlice(ta, a, r0, r1), b, acc,
+                                opRowSlice(Trans::None, base, r0, r1));
+                    expectSameBits(
+                        part, opRowSlice(Trans::None, full, r0, r1),
+                        "rows [" + std::to_string(r0) + "," +
+                            std::to_string(r1) + ") ta=" +
+                            std::to_string(int(ta)) + " tb=" +
+                            std::to_string(int(tb)) +
+                            " acc=" + std::to_string(acc));
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelGemmDeathTest, AliasedOutputPanicsBeforeReshape)
+{
+    // out == a with a different result shape: the alias check must
+    // fire before the reshape recycles the caller's input.
+    Rng rng(53);
+    Tensor a = Tensor::randn(3, 4, rng);
+    Tensor b = Tensor::randn(4, 2, rng);
+    EXPECT_DEATH(kernels::gemm(Trans::None, Trans::None, a, b, a),
+                 "aliases input");
+    EXPECT_DEATH(kernels::gemm(Trans::Transpose, Trans::None, b, b, b),
+                 "aliases input");
 }
 
 TEST(KernelGemm, AccAddsIntoExistingOutput)

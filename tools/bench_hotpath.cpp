@@ -24,8 +24,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hh"
@@ -39,7 +41,28 @@ using kernels::Trans;
 
 namespace {
 
-struct GemmShape { size_t m, k, n; };
+/** One product op(A) (m x k) * op(B) (k x n), optionally accumulated
+ *  into C (gemmAcc). */
+struct GemmShape
+{
+    size_t m, k, n;
+    Trans ta = Trans::None, tb = Trans::None;
+    bool acc = false;
+};
+
+const char *
+transName(Trans t)
+{
+    return t == Trans::None ? "N" : "T";
+}
+
+/** Operand stored so that op(X) is rows x cols. */
+Tensor
+operand(Trans t, size_t rows, size_t cols, Rng &rng)
+{
+    return t == Trans::None ? Tensor::randn(rows, cols, rng)
+                            : Tensor::randn(cols, rows, rng);
+}
 
 struct GemmResult
 {
@@ -89,8 +112,8 @@ benchGemmShape(const GemmShape &s, size_t threads, size_t reps,
                size_t naive_reps)
 {
     Rng rng(1234);
-    Tensor a = Tensor::randn(s.m, s.k, rng);
-    Tensor b = Tensor::randn(s.k, s.n, rng);
+    Tensor a = operand(s.ta, s.m, s.k, rng);
+    Tensor b = operand(s.tb, s.k, s.n, rng);
     Tensor out(s.m, s.n);
     const double flop = 2.0 * double(s.m) * double(s.k) * double(s.n);
 
@@ -98,18 +121,39 @@ benchGemmShape(const GemmShape &s, size_t threads, size_t reps,
     GemmResult res;
     res.shape = s;
     res.threads = threads;
-    res.seconds = timeTrimmed(
-        reps, [&] { kernels::gemm(Trans::None, Trans::None, a, b, out); });
+    res.seconds = timeTrimmed(reps, [&] {
+        if (s.acc)
+            kernels::gemmAcc(s.ta, s.tb, a, b, out);
+        else
+            kernels::gemm(s.ta, s.tb, a, b, out);
+    });
     res.gflops = res.seconds > 0.0 ? flop / res.seconds / 1e9 : 0.0;
 
     // Naive reference is single-threaded by construction; it is the
-    // baseline regardless of the pinned thread count.
+    // baseline regardless of the pinned thread count (the product
+    // alone, also for accumulating shapes).
     res.naiveSeconds = timeTrimmed(naive_reps, [&] {
-        Tensor c = kernels::naiveGemm(Trans::None, Trans::None, a, b);
+        Tensor c = kernels::naiveGemm(s.ta, s.tb, a, b);
     });
     res.naiveGflops =
         res.naiveSeconds > 0.0 ? flop / res.naiveSeconds / 1e9 : 0.0;
     return res;
+}
+
+/** CPU model from /proc/cpuinfo ("unknown" where there is none). */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon != std::string::npos && colon + 2 <= line.size())
+            return line.substr(colon + 2);
+    }
+    return "unknown";
 }
 
 } // namespace
@@ -138,13 +182,23 @@ main(int argc, char **argv)
         reps = std::min<size_t>(reps, 2);
 
     // The 512^3 point backs the documented >=3x acceptance threshold;
-    // the odd shape exercises the register-tile edge paths.
+    // the odd shape exercises the register-tile edge paths. The last
+    // three are the products that dominate TGN dim-128 training
+    // (perfbench train-model): forward NN, dX = dY * W^T and
+    // dW += X^T * dY, at a ~300-event batch.
     const std::vector<GemmShape> shapes = smoke
-        ? std::vector<GemmShape>{{32, 32, 32}, {64, 64, 64}}
-        : std::vector<GemmShape>{{64, 64, 64},
-                                 {128, 256, 64},
-                                 {512, 512, 512},
-                                 {513, 511, 129}};
+        ? std::vector<GemmShape>{{32, 32, 32},
+                                 {64, 64, 64},
+                                 {33, 17, 40, Trans::Transpose,
+                                  Trans::Transpose, true}}
+        : std::vector<GemmShape>{
+              {64, 64, 64},
+              {128, 256, 64},
+              {512, 512, 512},
+              {513, 511, 129},
+              {300, 308, 128},
+              {300, 128, 308, Trans::None, Trans::Transpose, true},
+              {308, 300, 128, Trans::Transpose, Trans::None, true}};
     const std::vector<size_t> thread_counts = smoke
         ? std::vector<size_t>{1, 2}
         : std::vector<size_t>{1, 2, 4, 8};
@@ -158,9 +212,11 @@ main(int argc, char **argv)
         for (size_t t : thread_counts) {
             results.push_back(benchGemmShape(s, t, reps, naive_reps));
             const GemmResult &r = results.back();
-            std::printf("gemm %4zux%4zux%4zu  threads=%zu  "
+            std::printf("gemm %4zux%4zux%4zu %s%s%s  threads=%zu  "
                         "%8.2f GF/s  (naive %6.2f GF/s, %5.1fx)\n",
-                        r.shape.m, r.shape.k, r.shape.n, r.threads,
+                        r.shape.m, r.shape.k, r.shape.n,
+                        transName(r.shape.ta), transName(r.shape.tb),
+                        r.shape.acc ? "+" : " ", r.threads,
                         r.gflops, r.naiveGflops,
                         r.naiveGflops > 0.0 ? r.gflops / r.naiveGflops
                                             : 0.0);
@@ -179,14 +235,16 @@ main(int argc, char **argv)
     for (const GemmShape &s : shapes) {
         if (!(s.m == 128 && s.k == 256 && s.n == 64))
             continue;
+        const auto same = [&](const GemmShape &o) {
+            return o.m == s.m && o.k == s.k && o.n == s.n &&
+                   o.ta == s.ta && o.tb == s.tb && o.acc == s.acc;
+        };
         double t1 = 0.0;
         for (const GemmResult &r : results)
-            if (r.shape.m == s.m && r.shape.k == s.k &&
-                r.shape.n == s.n && r.threads == 1)
+            if (same(r.shape) && r.threads == 1)
                 t1 = r.seconds;
         for (const GemmResult &r : results) {
-            if (!(r.shape.m == s.m && r.shape.k == s.k &&
-                  r.shape.n == s.n))
+            if (!same(r.shape))
                 continue;
             if (t1 > 0.0 && r.seconds > 2.0 * t1) {
                 std::fprintf(stderr,
@@ -232,16 +290,24 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"reps\": %zu,\n", reps);
     std::fprintf(f, "  \"seed\": 1234,\n");
+    std::fprintf(f,
+                 "  \"provenance\": {\"compiler\": \"%s\", "
+                 "\"nproc\": %u, \"cpu\": \"%s\"},\n",
+                 __VERSION__, std::thread::hardware_concurrency(),
+                 cpuModel().c_str());
     std::fprintf(f, "  \"gemm\": [\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const GemmResult &r = results[i];
         std::fprintf(
             f,
-            "    {\"m\": %zu, \"k\": %zu, \"n\": %zu, \"threads\": %zu, "
+            "    {\"m\": %zu, \"k\": %zu, \"n\": %zu, \"ta\": \"%s\", "
+            "\"tb\": \"%s\", \"acc\": %s, \"threads\": %zu, "
             "\"seconds\": %.6e, \"gflops\": %.3f, "
             "\"naive_seconds\": %.6e, \"naive_gflops\": %.3f, "
             "\"speedup_vs_naive\": %.2f}%s\n",
-            r.shape.m, r.shape.k, r.shape.n, r.threads, r.seconds,
+            r.shape.m, r.shape.k, r.shape.n, transName(r.shape.ta),
+            transName(r.shape.tb), r.shape.acc ? "true" : "false",
+            r.threads, r.seconds,
             r.gflops, r.naiveSeconds, r.naiveGflops,
             r.naiveGflops > 0.0 ? r.gflops / r.naiveGflops : 0.0,
             i + 1 < results.size() ? "," : "");
