@@ -74,20 +74,17 @@ bump(std::atomic<uint64_t> &local, std::atomic<obs::Counter *> &ctr,
 class BufferPool
 {
   public:
-    /** A buffer of n floats; zeroed on request (a miss is always
-     *  zeroed, since std::vector value-initializes). */
-    std::vector<float>
-    acquire(size_t n, bool zeroed)
+    /** A buffer of n floats, contents unspecified: a hit's resize and
+     *  a miss's allocation both default-initialize (Tensor::Storage). */
+    Tensor::Storage
+    acquire(size_t n)
     {
-        // Only the free-list scan runs under the shard mutex; the
-        // O(n) resize (zero-fill of the grown region) happens after
-        // release so a large acquire cannot stall every concurrent
-        // recycle — lock-hold-time fix from the PR-5 TSan/annotation
-        // pass. The pool is sharded by thread so concurrent query
-        // threads (the serve read path spins hundreds of small
-        // tensors per request) never contend on one free list.
+        // Only the free-list scan runs under the shard mutex. The
+        // pool is sharded by thread so concurrent query threads (the
+        // serve read path spins hundreds of small tensors per
+        // request) never contend on one free list.
         Shard &sh = shards_[shardIndex()];
-        std::vector<float> buf;
+        Tensor::Storage buf;
         bool hit = false;
         {
             LockGuard lock(sh.m_);
@@ -111,19 +108,14 @@ class BufferPool
                 hit = true;
             }
         }
-        if (hit) {
-            bump(poolHits, bound.poolHits);
-            buf.resize(n);
-            if (zeroed)
-                std::fill(buf.begin(), buf.end(), 0.0f);
-            return buf;
-        }
-        bump(poolMisses, bound.poolMisses);
-        return std::vector<float>(n);
+        bump(hit ? poolHits : poolMisses,
+             hit ? bound.poolHits : bound.poolMisses);
+        buf.resize(n);
+        return buf;
     }
 
     void
-    release(std::vector<float> &&buf)
+    release(Tensor::Storage &&buf)
     {
         const size_t bytes = buf.capacity() * sizeof(float);
         if (bytes == 0)
@@ -163,7 +155,7 @@ class BufferPool
          *  total across shards (mutations happen under the shard
          *  mutex, the atomic only exists so stats() and the caps can
          *  read it without every lock). */
-        std::vector<std::vector<float>> free_ CASCADE_GUARDED_BY(m_);
+        std::vector<Tensor::Storage> free_ CASCADE_GUARDED_BY(m_);
     };
 
     /** Stable per-thread shard. A buffer released on a different
@@ -272,8 +264,7 @@ class PackBuffer
 {
   public:
     explicit PackBuffer(size_t floats)
-        : buf_(BufferPool::global().acquire(floats + kAlignFloats,
-                                            /*zeroed=*/false))
+        : buf_(BufferPool::global().acquire(floats + kAlignFloats))
     {
         void *p = buf_.data();
         size_t space = buf_.size() * sizeof(float);
@@ -288,7 +279,7 @@ class PackBuffer
 
   private:
     static constexpr size_t kAlignFloats = 64 / sizeof(float);
-    std::vector<float> buf_;
+    Tensor::Storage buf_;
     float *data_ = nullptr;
 };
 
@@ -570,27 +561,25 @@ transpose(const Tensor &a, Tensor &out)
 Tensor
 zeros(size_t rows, size_t cols)
 {
-    return Tensor(rows, cols,
-                  BufferPool::global().acquire(rows * cols,
-                                               /*zeroed=*/true));
+    Tensor t = uninit(rows, cols);
+    t.fill(0.0f);
+    return t;
 }
 
 Tensor
 uninit(size_t rows, size_t cols)
 {
-    return Tensor(rows, cols,
-                  BufferPool::global().acquire(rows * cols,
-                                               /*zeroed=*/false));
+    return Tensor::fromStorage(rows, cols,
+                               BufferPool::global().acquire(rows * cols));
 }
 
 Tensor
 copyOf(const Tensor &src)
 {
-    std::vector<float> buf =
-        BufferPool::global().acquire(src.size(), /*zeroed=*/false);
+    Tensor t = uninit(src.rows(), src.cols());
     if (src.size() > 0)
-        std::memcpy(buf.data(), src.data(), src.size() * sizeof(float));
-    return Tensor(src.rows(), src.cols(), std::move(buf));
+        std::memcpy(t.data(), src.data(), src.size() * sizeof(float));
+    return t;
 }
 
 void

@@ -15,6 +15,15 @@ using detail::Node;
 using NodePtr = std::shared_ptr<Node>;
 using kernels::Trans;
 
+// The loops below run over hoisted, restrict-qualified row pointers so
+// the compiler vectorizes them (ops.cc builds with the vector ISA and
+// -ffp-contract=off, see src/tensor/CMakeLists.txt). Restrict holds
+// because a node's grad, its value and a parent's grad or value are
+// always distinct tensors. Every output element still takes the same
+// float operations in the same order as an element-at-a-time loop;
+// only reductions across a row that the old loops ran in order stay
+// serial.
+
 /** Build a result node with the given parents and backward closure. */
 Variable
 makeNode(Tensor value, std::vector<NodePtr> parents,
@@ -28,6 +37,14 @@ makeNode(Tensor value, std::vector<NodePtr> parents,
     if (node->requiresGrad)
         node->backward = std::move(backward);
     return Variable::fromNode(std::move(node));
+}
+
+/** g[0, n) += src[0, n): one row of a gradient scatter. */
+inline void
+addRow(float *__restrict g, const float *__restrict src, size_t n)
+{
+    for (size_t c = 0; c < n; ++c)
+        g[c] += src[c];
 }
 
 } // namespace
@@ -69,10 +86,14 @@ add(const Variable &a, const Variable &b)
     }
     if (bv.rows() == 1 && bv.cols() == av.cols()) {
         // Row-broadcast bias.
-        Tensor out = kernels::copyOf(av);
-        for (size_t r = 0; r < out.rows(); ++r)
-            for (size_t c = 0; c < out.cols(); ++c)
-                out.at(r, c) += bv.at(0, c);
+        Tensor out = kernels::uninit(av.rows(), av.cols());
+        const float *__restrict bias = bv.data();
+        for (size_t r = 0, cols = av.cols(); r < av.rows(); ++r) {
+            const float *__restrict x = av.row(r);
+            float *__restrict o = out.row(r);
+            for (size_t c = 0; c < cols; ++c)
+                o[c] = x[c] + bias[c];
+        }
         return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
             if (pa->requiresGrad)
                 pa->ensureGrad() += n.grad;
@@ -88,18 +109,26 @@ add(const Variable &a, const Variable &b)
     }
     if (bv.cols() == 1 && bv.rows() == av.rows()) {
         // Column-broadcast (per-row scalar).
-        Tensor out = kernels::copyOf(av);
-        for (size_t r = 0; r < out.rows(); ++r)
-            for (size_t c = 0; c < out.cols(); ++c)
-                out.at(r, c) += bv.at(r, 0);
+        Tensor out = kernels::uninit(av.rows(), av.cols());
+        for (size_t r = 0, cols = av.cols(); r < av.rows(); ++r) {
+            const float s = bv.data()[r];
+            const float *__restrict x = av.row(r);
+            float *__restrict o = out.row(r);
+            for (size_t c = 0; c < cols; ++c)
+                o[c] = x[c] + s;
+        }
         return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
             if (pa->requiresGrad)
                 pa->ensureGrad() += n.grad;
             if (pb->requiresGrad) {
-                Tensor &g = pb->ensureGrad();
-                for (size_t r = 0; r < n.grad.rows(); ++r)
+                float *__restrict g = pb->ensureGrad().data();
+                for (size_t r = 0; r < n.grad.rows(); ++r) {
+                    const float *__restrict gr = n.grad.row(r);
+                    float acc = g[r];
                     for (size_t c = 0; c < n.grad.cols(); ++c)
-                        g.at(r, 0) += n.grad.at(r, c);
+                        acc += gr[c];
+                    g[r] = acc;
+                }
             }
         });
     }
@@ -132,43 +161,51 @@ mul(const Variable &a, const Variable &b)
         Tensor out = kernels::uninit(av.rows(), av.cols());
         kernels::hadamard(av, bv, out);
         return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
-            if (pa->requiresGrad) {
-                Tensor &g = pa->ensureGrad();
-                for (size_t i = 0; i < g.size(); ++i)
-                    g.data()[i] += n.grad.data()[i] * pb->value.data()[i];
-            }
-            if (pb->requiresGrad) {
-                Tensor &g = pb->ensureGrad();
-                for (size_t i = 0; i < g.size(); ++i)
-                    g.data()[i] += n.grad.data()[i] * pa->value.data()[i];
-            }
+            // g += dY * other, for each parent that needs it.
+            const auto acc = [&n](Tensor &grad, const Tensor &other) {
+                float *__restrict g = grad.data();
+                const float *__restrict dy = n.grad.data();
+                const float *__restrict o = other.data();
+                for (size_t i = 0, sz = grad.size(); i < sz; ++i)
+                    g[i] += dy[i] * o[i];
+            };
+            if (pa->requiresGrad)
+                acc(pa->ensureGrad(), pb->value);
+            if (pb->requiresGrad)
+                acc(pb->ensureGrad(), pa->value);
         });
     }
     CASCADE_CHECK(bv.cols() == 1 && bv.rows() == av.rows(),
                   "mul: b must match a or be a Bx1 column");
-    Tensor out = kernels::copyOf(av);
-    for (size_t r = 0; r < out.rows(); ++r) {
-        const float s = bv.at(r, 0);
-        for (size_t c = 0; c < out.cols(); ++c)
-            out.at(r, c) *= s;
+    Tensor out = kernels::uninit(av.rows(), av.cols());
+    for (size_t r = 0, cols = av.cols(); r < av.rows(); ++r) {
+        const float s = bv.data()[r];
+        const float *__restrict x = av.row(r);
+        float *__restrict o = out.row(r);
+        for (size_t c = 0; c < cols; ++c)
+            o[c] = x[c] * s;
     }
     return makeNode(std::move(out), {pa, pb}, [pa, pb](Node &n) {
+        const size_t cols = n.grad.cols();
         if (pa->requiresGrad) {
-            Tensor &g = pa->ensureGrad();
+            Tensor &grad = pa->ensureGrad();
             for (size_t r = 0; r < n.grad.rows(); ++r) {
-                const float s = pb->value.at(r, 0);
-                for (size_t c = 0; c < n.grad.cols(); ++c)
-                    g.at(r, c) += n.grad.at(r, c) * s;
+                const float s = pb->value.data()[r];
+                const float *__restrict dy = n.grad.row(r);
+                float *__restrict g = grad.row(r);
+                for (size_t c = 0; c < cols; ++c)
+                    g[c] += dy[c] * s;
             }
         }
         if (pb->requiresGrad) {
-            Tensor &g = pb->ensureGrad();
+            float *__restrict g = pb->ensureGrad().data();
             for (size_t r = 0; r < n.grad.rows(); ++r) {
+                const float *__restrict dy = n.grad.row(r);
+                const float *__restrict x = pa->value.row(r);
                 double acc = 0.0;
-                for (size_t c = 0; c < n.grad.cols(); ++c)
-                    acc += static_cast<double>(n.grad.at(r, c)) *
-                           pa->value.at(r, c);
-                g.at(r, 0) += static_cast<float>(acc);
+                for (size_t c = 0; c < cols; ++c)
+                    acc += static_cast<double>(dy[c]) * x[c];
+                g[r] += static_cast<float>(acc);
             }
         }
     });
@@ -196,18 +233,33 @@ elementwise(const Variable &a, Fwd fwd, Bwd bwd)
 {
     const Tensor &av = a.value();
     Tensor out = kernels::uninit(av.rows(), av.cols());
-    for (size_t i = 0; i < av.size(); ++i)
-        out.data()[i] = fwd(av.data()[i]);
+    {
+        const float *__restrict x = av.data();
+        float *__restrict y = out.data();
+        for (size_t i = 0, sz = av.size(); i < sz; ++i)
+            y[i] = fwd(x[i]);
+    }
     NodePtr pa = a.node();
     return makeNode(std::move(out), {pa}, [pa, bwd](Node &n) {
         if (!pa->requiresGrad)
             return;
-        Tensor &g = pa->ensureGrad();
-        for (size_t i = 0; i < g.size(); ++i) {
-            g.data()[i] += n.grad.data()[i] *
-                           bwd(pa->value.data()[i], n.value.data()[i]);
-        }
+        float *__restrict g = pa->ensureGrad().data();
+        const float *__restrict dy = n.grad.data();
+        const float *__restrict x = pa->value.data();
+        const float *__restrict y = n.value.data();
+        for (size_t i = 0, sz = n.grad.size(); i < sz; ++i)
+            g[i] += dy[i] * bwd(x[i], y[i]);
     });
+}
+
+/** Logistic function in the overflow-safe two-branch form. */
+inline float
+logistic(float x)
+{
+    if (x >= 0.0f)
+        return 1.0f / (1.0f + std::exp(-x));
+    const float e = std::exp(x);
+    return e / (1.0f + e);
 }
 
 } // namespace
@@ -215,13 +267,8 @@ elementwise(const Variable &a, Fwd fwd, Bwd bwd)
 Variable
 sigmoid(const Variable &a)
 {
-    return elementwise(
-        a,
-        [](float x) {
-            return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                             : std::exp(x) / (1.0f + std::exp(x));
-        },
-        [](float, float y) { return y * (1.0f - y); });
+    return elementwise(a, [](float x) { return logistic(x); },
+                       [](float, float y) { return y * (1.0f - y); });
 }
 
 Variable
@@ -278,14 +325,12 @@ concatCols(const Variable &a, const Variable &b)
         if (pa->requiresGrad) {
             Tensor &g = pa->ensureGrad();
             for (size_t r = 0; r < g.rows(); ++r)
-                for (size_t c = 0; c < ac; ++c)
-                    g.at(r, c) += n.grad.at(r, c);
+                addRow(g.row(r), n.grad.row(r), g.cols());
         }
         if (pb->requiresGrad) {
             Tensor &g = pb->ensureGrad();
             for (size_t r = 0; r < g.rows(); ++r)
-                for (size_t c = 0; c < g.cols(); ++c)
-                    g.at(r, c) += n.grad.at(r, ac + c);
+                addRow(g.row(r), n.grad.row(r) + ac, g.cols());
         }
     });
 }
@@ -302,10 +347,9 @@ sliceCols(const Variable &a, size_t c0, size_t c1)
     return makeNode(std::move(out), {pa}, [pa, c0](Node &n) {
         if (!pa->requiresGrad)
             return;
-        Tensor &g = pa->ensureGrad();
+        Tensor &grad = pa->ensureGrad();
         for (size_t r = 0; r < n.grad.rows(); ++r)
-            for (size_t c = 0; c < n.grad.cols(); ++c)
-                g.at(r, c0 + c) += n.grad.at(r, c);
+            addRow(grad.row(r) + c0, n.grad.row(r), n.grad.cols());
     });
 }
 
@@ -325,11 +369,10 @@ gatherRows(const Variable &a, std::vector<int64_t> rows)
     return makeNode(std::move(out), {pa}, [pa, idx](Node &n) {
         if (!pa->requiresGrad)
             return;
-        Tensor &g = pa->ensureGrad();
+        Tensor &grad = pa->ensureGrad();
         for (size_t i = 0; i < idx->size(); ++i) {
-            const size_t r = static_cast<size_t>((*idx)[i]);
-            for (size_t c = 0; c < n.grad.cols(); ++c)
-                g.at(r, c) += n.grad.at(i, c);
+            addRow(grad.row(static_cast<size_t>((*idx)[i])), n.grad.row(i),
+                   n.grad.cols());
         }
     });
 }
@@ -343,10 +386,11 @@ sumAll(const Variable &a)
     return makeNode(std::move(out), {pa}, [pa](Node &n) {
         if (!pa->requiresGrad)
             return;
-        Tensor &g = pa->ensureGrad();
+        Tensor &grad = pa->ensureGrad();
         const float s = n.grad.at(0, 0);
-        for (size_t i = 0; i < g.size(); ++i)
-            g.data()[i] += s;
+        float *g = grad.data();
+        for (size_t i = 0, sz = grad.size(); i < sz; ++i)
+            g[i] += s;
     });
 }
 
@@ -385,20 +429,29 @@ groupedMeanRows(const Variable &a, size_t k)
     CASCADE_CHECK(k > 0 && av.rows() % k == 0,
                   "groupedMeanRows: rows not divisible by k");
     const size_t groups = av.rows() / k;
-    Tensor out = kernels::zeros(groups, av.cols());
+    const size_t cols = av.cols();
+    Tensor out = kernels::zeros(groups, cols);
     const float inv = 1.0f / static_cast<float>(k);
-    for (size_t g = 0; g < groups; ++g)
-        for (size_t j = 0; j < k; ++j)
-            for (size_t c = 0; c < av.cols(); ++c)
-                out.at(g, c) += av.at(g * k + j, c) * inv;
+    for (size_t g = 0; g < groups; ++g) {
+        float *__restrict o = out.row(g);
+        for (size_t j = 0; j < k; ++j) {
+            const float *__restrict x = av.row(g * k + j);
+            for (size_t c = 0; c < cols; ++c)
+                o[c] += x[c] * inv;
+        }
+    }
     NodePtr pa = a.node();
     return makeNode(std::move(out), {pa}, [pa, k, inv](Node &n) {
         if (!pa->requiresGrad)
             return;
-        Tensor &g = pa->ensureGrad();
-        for (size_t i = 0; i < g.rows(); ++i)
-            for (size_t c = 0; c < g.cols(); ++c)
-                g.at(i, c) += n.grad.at(i / k, c) * inv;
+        Tensor &grad = pa->ensureGrad();
+        const size_t cols = grad.cols();
+        for (size_t i = 0; i < grad.rows(); ++i) {
+            const float *__restrict dy = n.grad.row(i / k);
+            float *__restrict g = grad.row(i);
+            for (size_t c = 0; c < cols; ++c)
+                g[c] += dy[c] * inv;
+        }
     });
 }
 
@@ -412,36 +465,37 @@ groupedSoftmax(const Variable &scores, size_t k)
     const size_t groups = sv.rows() / k;
     Tensor out = kernels::uninit(sv.rows(), 1);
     for (size_t g = 0; g < groups; ++g) {
-        float mx = sv.at(g * k, 0);
+        // Column tensors: group g is the k contiguous floats at g*k.
+        const float *__restrict x = sv.data() + g * k;
+        float *__restrict y = out.data() + g * k;
+        float mx = x[0];
         for (size_t j = 1; j < k; ++j)
-            mx = std::max(mx, sv.at(g * k + j, 0));
+            mx = std::max(mx, x[j]);
         double denom = 0.0;
         for (size_t j = 0; j < k; ++j) {
-            const float e = std::exp(sv.at(g * k + j, 0) - mx);
-            out.at(g * k + j, 0) = e;
-            denom += e;
+            y[j] = std::exp(x[j] - mx);
+            denom += y[j];
         }
+        const float d = static_cast<float>(denom);
         for (size_t j = 0; j < k; ++j)
-            out.at(g * k + j, 0) /= static_cast<float>(denom);
+            y[j] /= d;
     }
     NodePtr pa = scores.node();
     return makeNode(std::move(out), {pa}, [pa, k](Node &n) {
         if (!pa->requiresGrad)
             return;
-        Tensor &g = pa->ensureGrad();
+        Tensor &grad = pa->ensureGrad();
         const size_t groups = n.value.rows() / k;
         for (size_t gi = 0; gi < groups; ++gi) {
+            const float *__restrict dy = n.grad.data() + gi * k;
+            const float *__restrict y = n.value.data() + gi * k;
+            float *__restrict g = grad.data() + gi * k;
             double dot = 0.0;
-            for (size_t j = 0; j < k; ++j) {
-                dot += static_cast<double>(n.grad.at(gi * k + j, 0)) *
-                       n.value.at(gi * k + j, 0);
-            }
-            for (size_t j = 0; j < k; ++j) {
-                const float y = n.value.at(gi * k + j, 0);
-                g.at(gi * k + j, 0) +=
-                    y * (n.grad.at(gi * k + j, 0) -
-                         static_cast<float>(dot));
-            }
+            for (size_t j = 0; j < k; ++j)
+                dot += static_cast<double>(dy[j]) * y[j];
+            const float d = static_cast<float>(dot);
+            for (size_t j = 0; j < k; ++j)
+                g[j] += y[j] * (dy[j] - d);
         }
     });
 }
@@ -456,35 +510,45 @@ groupedWeightedSum(const Variable &weights, const Variable &feats, size_t k)
     CASCADE_CHECK(k > 0 && fv.rows() % k == 0,
                   "groupedWeightedSum: rows not divisible by k");
     const size_t groups = fv.rows() / k;
-    Tensor out = kernels::zeros(groups, fv.cols());
-    for (size_t g = 0; g < groups; ++g)
+    const size_t cols = fv.cols();
+    Tensor out = kernels::zeros(groups, cols);
+    for (size_t g = 0; g < groups; ++g) {
+        float *__restrict o = out.row(g);
         for (size_t j = 0; j < k; ++j) {
-            const float w = wv.at(g * k + j, 0);
-            for (size_t c = 0; c < fv.cols(); ++c)
-                out.at(g, c) += w * fv.at(g * k + j, c);
+            const float w = wv.data()[g * k + j];
+            const float *__restrict x = fv.row(g * k + j);
+            for (size_t c = 0; c < cols; ++c)
+                o[c] += w * x[c];
         }
+    }
     NodePtr pw = weights.node(), pf = feats.node();
     return makeNode(std::move(out), {pw, pf}, [pw, pf, k](Node &n) {
         const size_t groups = n.value.rows();
+        const size_t cols = n.grad.cols();
         if (pw->requiresGrad) {
-            Tensor &g = pw->ensureGrad();
-            for (size_t gi = 0; gi < groups; ++gi)
+            float *__restrict g = pw->ensureGrad().data();
+            for (size_t gi = 0; gi < groups; ++gi) {
+                const float *__restrict dy = n.grad.row(gi);
                 for (size_t j = 0; j < k; ++j) {
+                    const float *__restrict x = pf->value.row(gi * k + j);
                     double acc = 0.0;
-                    for (size_t c = 0; c < n.grad.cols(); ++c)
-                        acc += static_cast<double>(n.grad.at(gi, c)) *
-                               pf->value.at(gi * k + j, c);
-                    g.at(gi * k + j, 0) += static_cast<float>(acc);
+                    for (size_t c = 0; c < cols; ++c)
+                        acc += static_cast<double>(dy[c]) * x[c];
+                    g[gi * k + j] += static_cast<float>(acc);
                 }
+            }
         }
         if (pf->requiresGrad) {
-            Tensor &g = pf->ensureGrad();
-            for (size_t gi = 0; gi < groups; ++gi)
+            Tensor &grad = pf->ensureGrad();
+            for (size_t gi = 0; gi < groups; ++gi) {
+                const float *__restrict dy = n.grad.row(gi);
                 for (size_t j = 0; j < k; ++j) {
-                    const float w = pw->value.at(gi * k + j, 0);
-                    for (size_t c = 0; c < n.grad.cols(); ++c)
-                        g.at(gi * k + j, c) += w * n.grad.at(gi, c);
+                    const float w = pw->value.data()[gi * k + j];
+                    float *__restrict g = grad.row(gi * k + j);
+                    for (size_t c = 0; c < cols; ++c)
+                        g[c] += w * dy[c];
                 }
+            }
         }
     });
 }
@@ -511,15 +575,12 @@ bceWithLogits(const Variable &logits, const Tensor &targets)
     return makeNode(std::move(out), {pl}, [pl, tgt, b](Node &n) {
         if (!pl->requiresGrad)
             return;
-        Tensor &g = pl->ensureGrad();
+        float *__restrict g = pl->ensureGrad().data();
+        const float *__restrict x = pl->value.data();
+        const float *__restrict t = tgt->data();
         const float go = n.grad.at(0, 0) / static_cast<float>(b);
-        for (size_t i = 0; i < b; ++i) {
-            const float x = pl->value.at(i, 0);
-            const float s = x >= 0.0f
-                ? 1.0f / (1.0f + std::exp(-x))
-                : std::exp(x) / (1.0f + std::exp(x));
-            g.at(i, 0) += go * (s - tgt->at(i, 0));
-        }
+        for (size_t i = 0; i < b; ++i)
+            g[i] += go * (logistic(x[i]) - t[i]);
     });
 }
 
@@ -527,11 +588,10 @@ Tensor
 sigmoidRaw(const Tensor &a)
 {
     Tensor out = kernels::uninit(a.rows(), a.cols());
-    for (size_t i = 0; i < out.size(); ++i) {
-        const float x = a.data()[i];
-        out.data()[i] = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                                  : std::exp(x) / (1.0f + std::exp(x));
-    }
+    const float *__restrict x = a.data();
+    float *__restrict y = out.data();
+    for (size_t i = 0, sz = out.size(); i < sz; ++i)
+        y[i] = logistic(x[i]);
     return out;
 }
 

@@ -26,8 +26,13 @@ class Optimizer
     explicit Optimizer(std::vector<Variable> params);
     virtual ~Optimizer() = default;
 
-    /** Apply one update from the parameters' current gradients. */
-    virtual void step() = 0;
+    /**
+     * Apply one update from the parameters' current gradients.
+     * @return the sum of squared gradients it read (before any
+     *         clipping), accumulated in double in parameter order —
+     *         the caller's gradient norm is its square root.
+     */
+    virtual double step() = 0;
 
     /** Zero every parameter gradient. */
     void zeroGrad();
@@ -44,7 +49,7 @@ class Sgd : public Optimizer
 {
   public:
     Sgd(std::vector<Variable> params, float lr, float clip = 0.0f);
-    void step() override;
+    double step() override;
 
   private:
     float lr_;
@@ -57,7 +62,7 @@ class Adam : public Optimizer
   public:
     Adam(std::vector<Variable> params, float lr = 1e-3f,
          float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
-    void step() override;
+    double step() override;
 
     /** Updates applied so far (the bias-correction clock). */
     long stepCount() const { return t_; }

@@ -7,11 +7,23 @@
 
 namespace cascade {
 
-Tensor::Tensor(size_t rows, size_t cols, std::vector<float> data)
-    : rows_(rows), cols_(cols), data_(std::move(data))
+Tensor::Tensor(size_t rows, size_t cols, const std::vector<float> &data)
+    : rows_(rows), cols_(cols), data_(data.begin(), data.end())
 {
     CASCADE_CHECK(data_.size() == rows_ * cols_,
                   "Tensor data size does not match shape");
+}
+
+Tensor
+Tensor::fromStorage(size_t rows, size_t cols, Storage data)
+{
+    CASCADE_CHECK(data.size() == rows * cols,
+                  "Tensor data size does not match shape");
+    Tensor t;
+    t.rows_ = rows;
+    t.cols_ = cols;
+    t.data_ = std::move(data);
+    return t;
 }
 
 Tensor
@@ -69,8 +81,10 @@ Tensor &
 Tensor::operator+=(const Tensor &other)
 {
     CASCADE_CHECK(sameShape(other), "+= shape mismatch");
-    for (size_t i = 0; i < data_.size(); ++i)
-        data_[i] += other.data_[i];
+    float *y = data_.data();
+    const float *x = other.data_.data();
+    for (size_t i = 0, n = data_.size(); i < n; ++i)
+        y[i] += x[i];
     return *this;
 }
 
@@ -78,16 +92,19 @@ Tensor &
 Tensor::operator-=(const Tensor &other)
 {
     CASCADE_CHECK(sameShape(other), "-= shape mismatch");
-    for (size_t i = 0; i < data_.size(); ++i)
-        data_[i] -= other.data_[i];
+    float *y = data_.data();
+    const float *x = other.data_.data();
+    for (size_t i = 0, n = data_.size(); i < n; ++i)
+        y[i] -= x[i];
     return *this;
 }
 
 Tensor &
 Tensor::operator*=(float s)
 {
-    for (auto &v : data_)
-        v *= s;
+    float *y = data_.data();
+    for (size_t i = 0, n = data_.size(); i < n; ++i)
+        y[i] *= s;
     return *this;
 }
 

@@ -13,16 +13,57 @@
 #define CASCADE_TENSOR_TENSOR_HH
 
 #include <cstddef>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hh"
 
 namespace cascade {
 
+/**
+ * std::allocator whose value-less construct() default-initializes, so
+ * a sized vector or a resize() leaves new floats unspecified instead
+ * of zero-filling them. Pooled buffers (kernels::uninit, GEMM scratch)
+ * are overwritten at once; zeroing them first was pure memory traffic.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <typename U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {}
+
+    template <typename U>
+    void
+    construct(U *p) noexcept(std::is_nothrow_default_constructible_v<U>)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
 /** Dense row-major matrix of floats. */
 class Tensor
 {
   public:
+    /** Backing store: a float vector that does not zero on growth. */
+    using Storage = std::vector<float, DefaultInitAllocator<float>>;
+
     /** Empty 0x0 tensor. */
     Tensor() : rows_(0), cols_(0) {}
 
@@ -32,7 +73,10 @@ class Tensor
     {}
 
     /** Tensor from explicit data (row-major, size must match). */
-    Tensor(size_t rows, size_t cols, std::vector<float> data);
+    Tensor(size_t rows, size_t cols, const std::vector<float> &data);
+
+    /** Tensor adopting a backing store (row-major, size must match). */
+    static Tensor fromStorage(size_t rows, size_t cols, Storage data);
 
     /** @name Factories */
     /** @{ */
@@ -86,7 +130,7 @@ class Tensor
      * Steal the backing storage, leaving a 0x0 tensor. Used by
      * kernels::recycle to park buffers in the kernel buffer pool.
      */
-    std::vector<float>
+    Storage
     takeData() &&
     {
         rows_ = cols_ = 0;
@@ -96,7 +140,7 @@ class Tensor
   private:
     size_t rows_;
     size_t cols_;
-    std::vector<float> data_;
+    Storage data_;
 };
 
 // Matrix products live in tensor/kernels.hh (kernels::gemm).

@@ -631,14 +631,8 @@ TgnnModel::stepBackward(Forward &f)
 {
     optimizer_->zeroGrad();
     f.loss.backward();
-    double grad_sq = 0.0;
-    for (const auto &p : parameters()) {
-        const Tensor &g = p.grad();
-        for (size_t i = 0; i < g.size(); ++i)
-            grad_sq += static_cast<double>(g.data()[i]) * g.data()[i];
-    }
-    f.result.gradNorm = std::sqrt(grad_sq);
-    optimizer_->step();
+    // The optimizer's pass returns the squared-gradient sum it read.
+    f.result.gradNorm = std::sqrt(optimizer_->step());
 }
 
 std::vector<double>

@@ -1,17 +1,29 @@
 /**
  * @file
  * Failure-injection and boundary tests: shape violations must panic
- * loudly (death tests), and edge-shaped inputs (single rows, single
- * columns, k=1 groups) must behave.
+ * loudly (death tests), edge-shaped inputs (single rows, single
+ * columns, k=1 groups) must behave, and no op may read the stale
+ * contents of a pooled buffer it was handed.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "graph/dataset.hh"
+#include "tensor/kernels.hh"
 #include "tensor/ops.hh"
 #include "tgnn/mailbox.hh"
+#include "tgnn/model.hh"
 #include "train/batcher.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 using namespace cascade;
@@ -135,6 +147,84 @@ TEST(OpsEdge, BceExtremeLogitsFinite)
     EXPECT_NEAR(loss.value().at(0, 0), 100.0f, 1e-3);
     loss.backward();
     EXPECT_FALSE(std::isnan(v.grad().at(0, 0)));
+}
+
+namespace {
+
+/** Floats per primed buffer: more than any one tensor of the step
+ *  below holds, so every acquire fits a primed buffer. */
+constexpr size_t kPrimeFloats = size_t{1} << 18;
+/** The pool keeps at most this many buffers per thread shard. */
+constexpr size_t kPrimeBuffers = 64;
+
+/**
+ * Empty this thread's pool shard, then park NaN-filled buffers in it:
+ * the next kPrimeBuffers acquires on this thread get NaN contents.
+ */
+void
+primePoolWithNaN()
+{
+    // A 1-float request fits every cached buffer, so acquiring until
+    // the pool misses drains the shard; the drained buffers are freed.
+    std::vector<Tensor> drained;
+    const uint64_t misses = kernels::stats().poolMisses;
+    while (kernels::stats().poolMisses == misses)
+        drained.push_back(kernels::uninit(1, 1));
+    drained.clear();
+
+    std::vector<Tensor> primed;
+    for (size_t i = 0; i < kPrimeBuffers; ++i) {
+        primed.push_back(kernels::uninit(1, kPrimeFloats));
+        primed.back().fill(std::numeric_limits<float>::quiet_NaN());
+    }
+    for (Tensor &t : primed)
+        kernels::recycle(std::move(t));
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
+
+TEST(OpsEdge, TrainingStepNeverReadsStalePoolContents)
+{
+    // Pool buffers (uninit(), GEMM scratch, the storage behind zeros()
+    // before its fill) come back with unspecified contents. A step
+    // that read any of them would change its bits when those contents
+    // are NaN: prime the pool with NaN before each step, and with glibc
+    // also have malloc fill every fresh allocation with NaN bytes (a
+    // pool miss), then compare against an unprimed twin.
+    ThreadPool::setGlobalThreads(1); // every acquire on this thread
+    const DatasetSpec spec = wikiSpec(250.0);
+    Rng gen(17);
+    const EventSequence data = generateDataset(spec, gen);
+    const TemporalAdjacency adj(data);
+    TgnnModel clean(tgnConfig(16), spec.numNodes, data.featDim(), 9);
+    TgnnModel primed(tgnConfig(16), spec.numNodes, data.featDim(), 9);
+
+    for (size_t st = 0; st < 128; st += 32) {
+        const StepResult want = clean.step(data, adj, st, st + 32, true);
+#if defined(__GLIBC__)
+        // M_PERTURB fills each allocation with the complement of the
+        // low byte: 0x00 -> 0xff bytes, a NaN in every float.
+        mallopt(M_PERTURB, 0x100);
+#endif
+        primePoolWithNaN();
+        const StepResult got = primed.step(data, adj, st, st + 32, true);
+#if defined(__GLIBC__)
+        mallopt(M_PERTURB, 0);
+#endif
+        ASSERT_TRUE(std::isfinite(want.loss));
+        EXPECT_TRUE(sameBits(got.loss, want.loss))
+            << "batch at " << st << ": " << got.loss << " vs "
+            << want.loss;
+        EXPECT_TRUE(sameBits(got.gradNorm, want.gradNorm))
+            << "batch at " << st;
+    }
+    ThreadPool::setGlobalThreads(0);
 }
 
 TEST(MailboxDeath, BadConstruction)

@@ -12,11 +12,12 @@
  *     TGN model under the Cascade policy on the small WIKI-scale
  *     dataset.
  *
- * Each timing is a trimmed mean: one untimed warmup run, then `reps`
- * timed runs with the min and max dropped (when reps >= 3). Results
- * are written as BENCH_hotpath.json (schema cascade.bench_hotpath.v1,
- * documented in the README); `--smoke` shrinks shapes/reps to a
- * seconds-long CI smoke run.
+ * Each timing is one untimed warmup run, then `reps` timed runs
+ * reported as min/median/max; throughputs and gates read the median.
+ * The naive baseline is timed once per shape. Results are written as
+ * BENCH_hotpath.json (schema cascade.bench_hotpath.v2, documented in
+ * the README); `--smoke` shrinks shapes/reps to a seconds-long CI
+ * smoke run.
  *
  * Usage: bench_hotpath [--smoke] [--reps N] [--out PATH]
  */
@@ -25,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,37 +64,31 @@ operand(Trans t, size_t rows, size_t cols, Rng &rng)
                             : Tensor::randn(cols, rows, rng);
 }
 
-struct GemmResult
+/** Spread of one timing over the timed reps. */
+struct Spread
 {
-    GemmShape shape;
-    size_t threads;
-    double seconds;     ///< trimmed-mean blocked-kernel time
-    double gflops;      ///< blocked-kernel throughput
-    double naiveSeconds;///< trimmed-mean naive reference time
-    double naiveGflops; ///< naive single-thread throughput
+    double min = 0.0, median = 0.0, max = 0.0;
 };
 
-/** Trimmed mean: drop min and max when there are >= 3 samples. */
-double
-trimmedMean(std::vector<double> samples)
+Spread
+spreadOf(std::vector<double> samples)
 {
+    Spread s;
     if (samples.empty())
-        return 0.0;
+        return s;
     std::sort(samples.begin(), samples.end());
-    size_t lo = 0, hi = samples.size();
-    if (samples.size() >= 3) {
-        ++lo;
-        --hi;
-    }
-    const double sum =
-        std::accumulate(samples.begin() + lo, samples.begin() + hi, 0.0);
-    return sum / static_cast<double>(hi - lo);
+    const size_t n = samples.size();
+    s.min = samples.front();
+    s.max = samples.back();
+    s.median = n % 2 ? samples[n / 2]
+                     : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+    return s;
 }
 
 /** Time fn() `reps` times after one untimed warmup. */
 template <typename Fn>
-double
-timeTrimmed(size_t reps, Fn &&fn)
+Spread
+timeReps(size_t reps, Fn &&fn)
 {
     fn(); // warmup
     std::vector<double> samples;
@@ -104,40 +98,74 @@ timeTrimmed(size_t reps, Fn &&fn)
         fn();
         samples.push_back(t.seconds());
     }
-    return trimmedMean(std::move(samples));
+    return spreadOf(std::move(samples));
 }
 
-GemmResult
-benchGemmShape(const GemmShape &s, size_t threads, size_t reps,
-               size_t naive_reps)
+double
+flopsOf(const GemmShape &s)
 {
-    Rng rng(1234);
-    Tensor a = operand(s.ta, s.m, s.k, rng);
-    Tensor b = operand(s.tb, s.k, s.n, rng);
+    return 2.0 * double(s.m) * double(s.k) * double(s.n);
+}
+
+/** GFLOP/s of a shape at a given time (0 for a zero time). */
+double
+gflopsAt(const GemmShape &s, double seconds)
+{
+    return seconds > 0.0 ? flopsOf(s) / seconds / 1e9 : 0.0;
+}
+
+/** One (shape, thread count) row; the naive time is the shape's. */
+struct GemmResult
+{
+    GemmShape shape;
+    size_t threads;
+    Spread seconds;      ///< packed kernel
+    Spread naiveSeconds; ///< naive reference, single-threaded
+
+    double gflops() const { return gflopsAt(shape, seconds.median); }
+    double
+    speedup() const
+    {
+        return seconds.median > 0.0 ? naiveSeconds.median / seconds.median
+                                    : 0.0;
+    }
+};
+
+/** Operands of a shape, fixed by the seed. */
+struct GemmOperands
+{
+    Tensor a, b;
+
+    explicit GemmOperands(const GemmShape &s)
+    {
+        Rng rng(1234);
+        a = operand(s.ta, s.m, s.k, rng);
+        b = operand(s.tb, s.k, s.n, rng);
+    }
+};
+
+Spread
+benchGemm(const GemmShape &s, const GemmOperands &x, size_t threads,
+          size_t reps)
+{
     Tensor out(s.m, s.n);
-    const double flop = 2.0 * double(s.m) * double(s.k) * double(s.n);
-
     ThreadPool::setGlobalThreads(threads);
-    GemmResult res;
-    res.shape = s;
-    res.threads = threads;
-    res.seconds = timeTrimmed(reps, [&] {
+    return timeReps(reps, [&] {
         if (s.acc)
-            kernels::gemmAcc(s.ta, s.tb, a, b, out);
+            kernels::gemmAcc(s.ta, s.tb, x.a, x.b, out);
         else
-            kernels::gemm(s.ta, s.tb, a, b, out);
+            kernels::gemm(s.ta, s.tb, x.a, x.b, out);
     });
-    res.gflops = res.seconds > 0.0 ? flop / res.seconds / 1e9 : 0.0;
+}
 
-    // Naive reference is single-threaded by construction; it is the
-    // baseline regardless of the pinned thread count (the product
-    // alone, also for accumulating shapes).
-    res.naiveSeconds = timeTrimmed(naive_reps, [&] {
-        Tensor c = kernels::naiveGemm(s.ta, s.tb, a, b);
+/** The naive reference is single-threaded by construction; it times
+ *  the product alone, also for accumulating shapes. */
+Spread
+benchNaive(const GemmShape &s, const GemmOperands &x, size_t reps)
+{
+    return timeReps(reps, [&] {
+        Tensor c = kernels::naiveGemm(s.ta, s.tb, x.a, x.b);
     });
-    res.naiveGflops =
-        res.naiveSeconds > 0.0 ? flop / res.naiveSeconds / 1e9 : 0.0;
-    return res;
 }
 
 /** CPU model from /proc/cpuinfo ("unknown" where there is none). */
@@ -205,56 +233,61 @@ main(int argc, char **argv)
 
     std::vector<GemmResult> results;
     for (const GemmShape &s : shapes) {
+        const GemmOperands x(s);
         // The naive kernel is slow at 512^3; one warmup + few reps.
         const size_t naive_reps =
             (s.m * s.k * s.n >= (1ull << 26)) ? std::min<size_t>(reps, 3)
                                               : reps;
+        const Spread naive = benchNaive(s, x, naive_reps);
         for (size_t t : thread_counts) {
-            results.push_back(benchGemmShape(s, t, reps, naive_reps));
+            results.push_back({s, t, benchGemm(s, x, t, reps), naive});
             const GemmResult &r = results.back();
             std::printf("gemm %4zux%4zux%4zu %s%s%s  threads=%zu  "
-                        "%8.2f GF/s  (naive %6.2f GF/s, %5.1fx)\n",
+                        "%8.2f GF/s  (s min/med/max %.2e/%.2e/%.2e; "
+                        "naive %6.2f GF/s, %5.1fx)\n",
                         r.shape.m, r.shape.k, r.shape.n,
                         transName(r.shape.ta), transName(r.shape.tb),
-                        r.shape.acc ? "+" : " ", r.threads,
-                        r.gflops, r.naiveGflops,
-                        r.naiveGflops > 0.0 ? r.gflops / r.naiveGflops
-                                            : 0.0);
+                        r.shape.acc ? "+" : " ", r.threads, r.gflops(),
+                        r.seconds.min, r.seconds.median, r.seconds.max,
+                        gflopsAt(s, naive.median), r.speedup());
         }
     }
     ThreadPool::setGlobalThreads(0);
 
-    // Regression gate for the small-shape parallel cutover: 128x256x64
-    // (2^22 flops) must never get slower when threads are added. The
-    // thread-count-blind cutover regressed exactly this way — 39x over
-    // naive at 1 thread collapsing to 9x at 8 — so assert that every
-    // pinned thread count stays within 2x of the single-thread time
-    // (generous against timer noise; the regression was ~4.3x). The
-    // bigger shapes are skipped: their serial baselines are noisy and
-    // the 512^3 acceptance threshold already covers them.
-    for (const GemmShape &s : shapes) {
-        if (!(s.m == 128 && s.k == 256 && s.n == 64))
-            continue;
-        const auto same = [&](const GemmShape &o) {
-            return o.m == s.m && o.k == s.k && o.n == s.n &&
-                   o.ta == s.ta && o.tb == s.tb && o.acc == s.acc;
-        };
-        double t1 = 0.0;
-        for (const GemmResult &r : results)
-            if (same(r.shape) && r.threads == 1)
-                t1 = r.seconds;
-        for (const GemmResult &r : results) {
-            if (!same(r.shape))
-                continue;
-            if (t1 > 0.0 && r.seconds > 2.0 * t1) {
+    // Two gates, both on medians. (1) The small-shape parallel
+    // cutover: 128x256x64 (2^22 flops) must never get slower when
+    // threads are added. The thread-count-blind cutover regressed
+    // exactly this way (39x over naive at 1 thread, 9x at 8), so every
+    // pinned thread count must stay within 2x of the single-thread
+    // time (generous against timer noise; the regression was ~4.3x).
+    // (2) 512^3 must run at least 3x faster than the naive baseline at
+    // every thread count.
+    for (const GemmResult &r : results) {
+        const GemmShape &s = r.shape;
+        if (s.m == 128 && s.k == 256 && s.n == 64) {
+            double t1 = 0.0;
+            for (const GemmResult &o : results)
+                if (o.shape.m == s.m && o.shape.k == s.k &&
+                    o.shape.n == s.n && o.threads == 1)
+                    t1 = o.seconds.median;
+            if (t1 > 0.0 && r.seconds.median > 2.0 * t1) {
                 std::fprintf(stderr,
                              "FAIL: gemm %zux%zux%zu at %zu threads "
-                             "took %.3e s vs %.3e s single-threaded "
-                             "(>2x): the parallel cutover regressed "
-                             "small shapes again\n",
-                             s.m, s.k, s.n, r.threads, r.seconds, t1);
+                             "took a median %.3e s vs %.3e s single-"
+                             "threaded (>2x): the parallel cutover "
+                             "regressed small shapes again\n",
+                             s.m, s.k, s.n, r.threads, r.seconds.median,
+                             t1);
                 return 1;
             }
+        }
+        if (s.m == 512 && s.k == 512 && s.n == 512 && r.speedup() < 3.0) {
+            std::fprintf(stderr,
+                         "FAIL: gemm 512^3 at %zu threads is %.2fx the "
+                         "naive baseline (median), below the 3x "
+                         "threshold\n",
+                         r.threads, r.speedup());
+            return 1;
         }
     }
 
@@ -286,7 +319,7 @@ main(int argc, char **argv)
                      out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "{\n  \"schema\": \"cascade.bench_hotpath.v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"cascade.bench_hotpath.v2\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"reps\": %zu,\n", reps);
     std::fprintf(f, "  \"seed\": 1234,\n");
@@ -302,15 +335,17 @@ main(int argc, char **argv)
             f,
             "    {\"m\": %zu, \"k\": %zu, \"n\": %zu, \"ta\": \"%s\", "
             "\"tb\": \"%s\", \"acc\": %s, \"threads\": %zu, "
-            "\"seconds\": %.6e, \"gflops\": %.3f, "
-            "\"naive_seconds\": %.6e, \"naive_gflops\": %.3f, "
+            "\"seconds\": {\"min\": %.6e, \"median\": %.6e, "
+            "\"max\": %.6e}, \"gflops\": %.3f, "
+            "\"naive_seconds\": {\"min\": %.6e, \"median\": %.6e, "
+            "\"max\": %.6e}, \"naive_gflops\": %.3f, "
             "\"speedup_vs_naive\": %.2f}%s\n",
             r.shape.m, r.shape.k, r.shape.n, transName(r.shape.ta),
             transName(r.shape.tb), r.shape.acc ? "true" : "false",
-            r.threads, r.seconds,
-            r.gflops, r.naiveSeconds, r.naiveGflops,
-            r.naiveGflops > 0.0 ? r.gflops / r.naiveGflops : 0.0,
-            i + 1 < results.size() ? "," : "");
+            r.threads, r.seconds.min, r.seconds.median, r.seconds.max,
+            r.gflops(), r.naiveSeconds.min, r.naiveSeconds.median,
+            r.naiveSeconds.max, gflopsAt(r.shape, r.naiveSeconds.median),
+            r.speedup(), i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
