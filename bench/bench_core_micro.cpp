@@ -31,24 +31,16 @@ sharedDataset()
     return seq;
 }
 
-const TemporalAdjacency &
-sharedAdjacency()
-{
-    static TemporalAdjacency adj(sharedDataset());
-    return adj;
-}
-
 } // namespace
 
 static void
 BM_DependencyTableBuild(benchmark::State &state)
 {
     const EventSequence &seq = sharedDataset();
-    const TemporalAdjacency &adj = sharedAdjacency();
     const size_t hi = static_cast<size_t>(state.range(0));
     for (auto _ : state) {
-        DependencyTable t = DependencyTable::build(
-            seq, adj, 0, std::min(hi, seq.size()));
+        DependencyTable t =
+            DependencyTable::build(seq, 0, std::min(hi, seq.size()));
         benchmark::DoNotOptimize(t.bytes());
     }
     state.SetItemsProcessed(state.iterations() *
@@ -62,14 +54,13 @@ BM_DependencyTableBuildChunked(benchmark::State &state)
     // The §4.2 locality claim: building C chunk tables of N/C events
     // each touches smaller working sets than one N-event table.
     const EventSequence &seq = sharedDataset();
-    const TemporalAdjacency &adj = sharedAdjacency();
     const size_t chunks = static_cast<size_t>(state.range(0));
     const size_t step = (seq.size() + chunks - 1) / chunks;
     for (auto _ : state) {
         size_t bytes = 0;
         for (size_t lo = 0; lo < seq.size(); lo += step) {
             DependencyTable t = DependencyTable::build(
-                seq, adj, lo, std::min(seq.size(), lo + step));
+                seq, lo, std::min(seq.size(), lo + step));
             bytes += t.bytes();
         }
         benchmark::DoNotOptimize(bytes);
@@ -82,8 +73,7 @@ static void
 BM_LastTolerableLookup(benchmark::State &state)
 {
     const EventSequence &seq = sharedDataset();
-    const TemporalAdjacency &adj = sharedAdjacency();
-    TgDiffuser diffuser(seq, adj, seq.size(), {});
+    TgDiffuser diffuser(seq, seq.size(), {});
     diffuser.setMaxRevisit(static_cast<size_t>(state.range(0)));
     std::vector<uint8_t> stable;
     size_t st = 0;

@@ -45,30 +45,31 @@ AdaptiveBatchSensor::profile(const EventSource &src,
 
     double sum = 0.0;
     double mn = 1e30, mx = 0.0;
+    // Relevant events per node in the batch window: one count per
+    // (event, dependent) pair of the by-event table. The table covers
+    // [lo, hi); events before lo are in no entry.
+    std::vector<uint32_t> relevant(table.numNodes(), 0);
     for (size_t b : batches) {
-        const size_t st = b * opts_.baseBatch;
-        const size_t ed = std::min(n, st + opts_.baseBatch);
-        const EventIdx ist = static_cast<EventIdx>(st);
-        const EventIdx ied = static_cast<EventIdx>(ed);
-
-        // Count relevant events per involved node via its
-        // dependency-table entry restricted to the batch window.
-        std::unordered_set<NodeId> touched;
+        const size_t first = b * opts_.baseBatch;
+        const size_t st = std::max(first, table.rangeLo());
+        const size_t ed = std::min(n, first + opts_.baseBatch);
+        for (size_t i = st; i < ed; ++i) {
+            for (uint32_t node : table.dependents(i))
+                ++relevant[node];
+        }
+        // Max Endurance: the largest count among the batch's own
+        // endpoints.
+        size_t max_endurance = 0;
         for (size_t i = st; i < ed; ++i) {
             const Event ev = src.event(static_cast<EventIdx>(i));
-            touched.insert(ev.src);
-            touched.insert(ev.dst);
+            max_endurance = std::max<size_t>(
+                max_endurance,
+                std::max(relevant[static_cast<size_t>(ev.src)],
+                         relevant[static_cast<size_t>(ev.dst)]));
         }
-        size_t max_endurance = 0;
-        CASCADE_NONDET_OK("max over size_t is commutative")
-        for (NodeId node : touched) {
-            const auto &entry = table.entry(node);
-            const auto lo =
-                std::lower_bound(entry.begin(), entry.end(), ist);
-            const auto hi =
-                std::lower_bound(entry.begin(), entry.end(), ied);
-            max_endurance = std::max(
-                max_endurance, static_cast<size_t>(hi - lo));
+        for (size_t i = st; i < ed; ++i) {
+            for (uint32_t node : table.dependents(i))
+                relevant[node] = 0;
         }
         sum += static_cast<double>(max_endurance);
         mn = std::min(mn, static_cast<double>(max_endurance));

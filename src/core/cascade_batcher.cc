@@ -8,7 +8,7 @@
 namespace cascade {
 
 CascadeBatcher::CascadeBatcher(const EventSource &src,
-                               const TemporalAdjacency &adj,
+                               const TemporalAdjacency &,
                                size_t train_end, Options opts)
     : opts_(opts), trainEnd_(train_end)
 {
@@ -17,7 +17,7 @@ CascadeBatcher::CascadeBatcher(const EventSource &src,
     dopts.pipeline = opts.pipeline;
     dopts.maxBatchCap = opts.maxBatchCap;
     diffuser_ =
-        std::make_unique<TgDiffuser>(src, adj, train_end, dopts);
+        std::make_unique<TgDiffuser>(src, train_end, dopts);
 
     sgFilter_ =
         std::make_unique<SgFilter>(src.numNodes(), opts.simThreshold);

@@ -24,6 +24,7 @@
 #include "core/abs.hh"
 #include "core/sg_filter.hh"
 #include "core/tg_diffuser.hh"
+#include "graph/adjacency.hh"
 #include "train/batcher.hh"
 
 namespace cascade {
@@ -59,7 +60,9 @@ class CascadeBatcher : public Batcher
      * Runs the preprocessing stage (table build + endurance
      * profiling) immediately. `src` may be any EventSource — a
      * resident vector or an mmap'd event log (out-of-core training);
-     * it must outlive the batcher.
+     * it must outlive the batcher. The dependency tables are built
+     * from the events alone; `adj` is not read and stays in the
+     * signature for existing callers.
      */
     CascadeBatcher(const EventSource &src, const TemporalAdjacency &adj,
                    size_t train_end, Options opts);

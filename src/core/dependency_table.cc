@@ -1,62 +1,81 @@
 #include "core/dependency_table.hh"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/timer.hh"
 
 namespace cascade {
 
 DependencyTable
-DependencyTable::build(const EventSource &src,
-                       const TemporalAdjacency &adj, size_t lo, size_t hi)
+DependencyTable::build(const EventSource &src, size_t lo, size_t hi)
 {
     CASCADE_CHECK(lo <= hi && hi <= src.size(),
                   "DependencyTable: bad range");
+    CASCADE_CHECK(src.numNodes() <= std::numeric_limits<uint32_t>::max(),
+                  "DependencyTable: node ids must fit in 32 bits");
     Timer timer;
     DependencyTable table;
+    table.numNodes_ = src.numNodes();
     table.lo_ = lo;
     table.hi_ = hi;
-    table.entries_.resize(src.numNodes());
 
-    const EventIdx ilo = static_cast<EventIdx>(lo);
-    const EventIdx ihi = static_cast<EventIdx>(hi);
+    // partners[n]: the distinct nodes n met in an event of [lo, e), in
+    // order of first contact. listed[n]: the last event that listed n.
+    constexpr size_t kNever = std::numeric_limits<size_t>::max();
+    std::vector<std::vector<uint32_t>> partners(table.numNodes_);
+    std::vector<size_t> listed(table.numNodes_, kNever);
 
-    // Loop-parallel over nodes (Algorithm 2): each node's entry is
-    // built independently, so no synchronization is needed.
-    parallelFor(0, src.numNodes(), [&](size_t n) {
-        const auto &own = adj.eventsOf(static_cast<NodeId>(n));
-        auto first = std::lower_bound(own.begin(), own.end(), ilo);
-        auto last = std::lower_bound(own.begin(), own.end(), ihi);
-        if (first == last)
-            return;
-
-        auto &entry = table.entries_[n];
-        // Step 1: the node's own incident events.
-        entry.assign(first, last);
-
-        // Step 2: each connected neighbor's future events (after the
-        // connecting event, truncated at the range end).
-        for (auto it = first; it != last; ++it) {
-            const Event e = src.event(*it);
-            const NodeId q = e.src == static_cast<NodeId>(n)
-                ? e.dst : e.src;
-            if (q == static_cast<NodeId>(n))
-                continue;
-            const auto &qev = adj.eventsOf(q);
-            auto qfirst =
-                std::upper_bound(qev.begin(), qev.end(), *it);
-            auto qlast = std::lower_bound(qev.begin(), qev.end(), ihi);
-            entry.insert(entry.end(), qfirst, qlast);
+    // Calls visit(e, n) once for each node n whose entry holds e, in
+    // event order: e's endpoints and every node that met one of them
+    // before e.
+    auto sweep = [&](auto &&visit) {
+        for (auto &p : partners)
+            p.clear();
+        std::fill(listed.begin(), listed.end(), kNever);
+        for (size_t e = lo; e < hi; ++e) {
+            const Event ev = src.event(static_cast<EventIdx>(e));
+            const auto a = static_cast<uint32_t>(ev.src);
+            const auto b = static_cast<uint32_t>(ev.dst);
+            auto add = [&](uint32_t n) {
+                if (listed[n] != e) {
+                    listed[n] = e;
+                    visit(e, n);
+                }
+            };
+            add(a);
+            add(b);
+            bool met = false;
+            for (uint32_t n : partners[a]) {
+                met |= n == b;
+                add(n);
+            }
+            if (a == b)
+                continue; // a self-loop adds no partner
+            for (uint32_t n : partners[b])
+                add(n);
+            if (!met) {
+                partners[a].push_back(b);
+                partners[b].push_back(a);
+            }
         }
-        std::sort(entry.begin(), entry.end());
-        entry.erase(std::unique(entry.begin(), entry.end()),
-                    entry.end());
-    }, 64);
+    };
 
-    for (size_t n = 0; n < table.entries_.size(); ++n) {
-        if (!table.entries_[n].empty())
+    // Count pass, then the fill pass writes into exact-size arrays.
+    table.offsets_.assign(hi - lo + 1, 0);
+    sweep([&](size_t e, uint32_t) { ++table.offsets_[e - lo + 1]; });
+    for (size_t i = 1; i < table.offsets_.size(); ++i)
+        table.offsets_[i] += table.offsets_[i - 1];
+    table.deps_.resize(table.offsets_.back());
+    size_t filled = 0;
+    sweep([&](size_t, uint32_t n) { table.deps_[filled++] = n; });
+
+    table.active_.reserve(static_cast<size_t>(
+        table.numNodes_ - std::count(listed.begin(), listed.end(), kNever)));
+    for (size_t n = 0; n < table.numNodes_; ++n) {
+        if (listed[n] != kNever)
             table.active_.push_back(static_cast<NodeId>(n));
     }
     table.buildSeconds_ = timer.seconds();
@@ -66,11 +85,9 @@ DependencyTable::build(const EventSource &src,
 size_t
 DependencyTable::bytes() const
 {
-    size_t b = entries_.size() * sizeof(std::vector<EventIdx>);
-    for (const auto &e : entries_)
-        b += e.capacity() * sizeof(EventIdx);
-    b += active_.capacity() * sizeof(NodeId);
-    return b;
+    return offsets_.capacity() * sizeof(size_t) +
+           deps_.capacity() * sizeof(uint32_t) +
+           active_.capacity() * sizeof(NodeId);
 }
 
 } // namespace cascade

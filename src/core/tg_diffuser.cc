@@ -1,23 +1,19 @@
 #include "core/tg_diffuser.hh"
 
 #include <algorithm>
-#include <limits>
-#include <mutex>
 
 #include "obs/metrics.hh"
 #include "util/binio.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/timer.hh"
 
 namespace cascade {
 
-TgDiffuser::TgDiffuser(const EventSource &src,
-                       const TemporalAdjacency &adj, size_t train_end,
+TgDiffuser::TgDiffuser(const EventSource &src, size_t train_end,
                        Options opts)
-    : src_(src), adj_(adj), trainEnd_(train_end), opts_(opts),
-      ptrs_(src.numNodes(), 0)
+    : src_(src), trainEnd_(train_end), opts_(opts),
+      ptrs_(src.numNodes(), 0), barriers_(src.numNodes())
 {
     CASCADE_CHECK(train_end <= src.size(),
                   "TgDiffuser: train_end beyond stream");
@@ -33,7 +29,7 @@ TgDiffuser::TgDiffuser(const EventSource &src,
     // with); its cost is charged as preprocessing either way.
     Timer t;
     tables_[0] = std::make_unique<DependencyTable>(DependencyTable::build(
-        src_, adj_, chunkBounds_[0].first, chunkBounds_[0].second));
+        src_, chunkBounds_[0].first, chunkBounds_[0].second));
     prepSeconds_ += t.seconds();
 }
 
@@ -111,8 +107,7 @@ TgDiffuser::ensureChunk(size_t c)
             fault::maybeFailChunkBuild(c);
             tables_[c] =
                 std::make_unique<DependencyTable>(DependencyTable::build(
-                    src_, adj_, chunkBounds_[c].first,
-                    chunkBounds_[c].second));
+                    src_, chunkBounds_[c].first, chunkBounds_[c].second));
         }
     } catch (...) {
         prepSeconds_ += t.seconds();
@@ -135,6 +130,7 @@ TgDiffuser::enterChunk(size_t c)
 {
     const DependencyTable &table = ensureChunk(c);
     curChunk_ = c;
+    swept_ = table.rangeLo();
     for (NodeId n : table.activeNodes())
         ptrs_[static_cast<size_t>(n)] = 0;
 
@@ -148,7 +144,7 @@ TgDiffuser::enterChunk(size_t c)
         pending_.launch([this, next = c + 1, lo, hi] {
             fault::maybeFailChunkBuild(next);
             return std::make_unique<DependencyTable>(
-                DependencyTable::build(src_, adj_, lo, hi));
+                DependencyTable::build(src_, lo, hi));
         });
     }
 }
@@ -167,54 +163,49 @@ TgDiffuser::lastTolerableEnd(size_t st, const std::vector<uint8_t> &stable)
         enterChunk(c);
     const DependencyTable &table = *tables_[c];
     const size_t chunk_hi = chunkBounds_[c].second;
+    const size_t limit = opts_.maxBatchCap > 0
+        ? std::min(chunk_hi, st + opts_.maxBatchCap)
+        : chunk_hi;
 
-    // Loop-parallel min-reduction over active nodes (Algorithm 3).
-    const auto &active = table.activeNodes();
-    constexpr EventIdx kMax = std::numeric_limits<EventIdx>::max();
-    EventIdx best = kMax;
-    AnnotatedMutex merge; // serializes the per-chunk min merges
-    parallelForChunks(0, active.size(), [&](size_t lo, size_t hi) {
-        EventIdx local = kMax;
-        for (size_t i = lo; i < hi; ++i) {
-            const NodeId n = active[i];
-            if (!stable.empty() &&
-                stable[static_cast<size_t>(n)]) {
-                continue; // SG-Filter: stable nodes pose no barrier
+    // Algorithm 3 as a forward sweep from where the last batch ended:
+    // node n's (Max_r + 1)-th relevant event from there is
+    // entry[ptr + Max_r], so the first event that gives a non-stable
+    // node that count is the minimum over nodes. A node with Max_r or
+    // fewer events left never reaches it (the "-" / MAX_INT entries
+    // of Figure 7(b)).
+    // (Locals, not members, in the loop: the pointer stores could
+    // alias size_t members and force a reload per dependent.)
+    const uint8_t *stab = stable.empty() ? nullptr : stable.data();
+    const uint64_t lookup = ++lookups_;
+    const size_t maxr = maxr_;
+    size_t e = swept_;
+    bool bound = false;
+    while (e < limit && !bound) {
+        for (uint32_t n : table.dependents(e)) {
+            Barrier &b = barriers_[n];
+            if (b.lookup != lookup) {
+                b.lookup = lookup;
+                b.at = ptrs_[n] + maxr + 1;
             }
-            const auto &entry = table.entry(n);
-            const size_t ptr = ptrs_[static_cast<size_t>(n)];
-            // A node constrains the batch only when more than Max_r
-            // relevant events remain; with fewer, every remaining
-            // event is tolerable (the "-" / MAX_INT entries of
-            // Figure 7(b)).
-            if (ptr + maxr_ >= entry.size())
-                continue;
-            local = std::min(local, entry[ptr + maxr_]);
+            // SG-Filter: stable nodes pose no barrier.
+            if (++ptrs_[n] == b.at && !(stab && stab[n]))
+                bound = true;
         }
-        LockGuard lock(merge);
-        best = std::min(best, local);
-    }, 512);
+        ++e;
+    }
 
     // The boundary event itself belongs to the batch (Figure 7(b):
     // the batch's last event *is* the first intolerable one).
-    size_t ed = best == kMax
-        ? chunk_hi
-        : std::min(chunk_hi, static_cast<size_t>(best) + 1);
-    ed = std::max(ed, st + 1);
-    if (opts_.maxBatchCap > 0)
-        ed = std::min(ed, st + opts_.maxBatchCap);
-    ed = std::min(ed, chunk_hi);
-    CASCADE_CHECK(ed > st, "lastTolerableEnd made no progress");
-
-    // Advance every node's pointer past the batch's events.
-    const EventIdx edi = static_cast<EventIdx>(ed);
-    parallelFor(0, active.size(), [&](size_t i) {
-        const NodeId n = active[i];
-        const auto &entry = table.entry(n);
-        size_t &ptr = ptrs_[static_cast<size_t>(n)];
-        while (ptr < entry.size() && entry[ptr] < edi)
-            ++ptr;
-    }, 512);
+    const size_t ed = std::max(bound ? e : limit, st + 1);
+    CASCADE_CHECK(ed > st && ed <= chunk_hi,
+                  "lastTolerableEnd made no progress");
+    // Pointers count every relevant event before the batch's end
+    // (more than the sweep saw only if st skipped ahead of it).
+    for (; e < ed; ++e) {
+        for (uint32_t n : table.dependents(e))
+            ++ptrs_[n];
+    }
+    swept_ = e;
 
     const double dt = timer.seconds();
     lookupSeconds_ += dt;
@@ -256,17 +247,53 @@ TgDiffuser::loadState(ByteReader &r)
         !r.bytes(ptrs.data(), ptrs.size() * sizeof(size_t))) {
         return false;
     }
+    // The sweep resumes where the saved cursors stand, so they must
+    // stand at one event of the chunk; check before changing state.
+    size_t swept = 0;
+    if (chunk != UINT64_MAX) {
+        swept = positionOf(ensureChunk(static_cast<size_t>(chunk)), ptrs);
+        if (swept == SIZE_MAX)
+            return false;
+    }
     maxr_ = std::max<uint64_t>(1, maxr);
     if (chunk == UINT64_MAX) {
         resetEpoch();
     } else {
-        // enterChunk builds the table (and prefetches the next) and
-        // zeroes the active pointers; the saved cursors then replace
-        // them so the batch-boundary search resumes mid-epoch.
+        // enterChunk prefetches the next table and zeroes the active
+        // pointers; the saved cursors then replace them so the
+        // batch-boundary search resumes mid-epoch.
         enterChunk(static_cast<size_t>(chunk));
+        swept_ = swept;
     }
     ptrs_ = std::move(ptrs);
     return true;
+}
+
+size_t
+TgDiffuser::positionOf(const DependencyTable &table,
+                       const std::vector<size_t> &ptrs) const
+{
+    // Every event has a dependent, so the pair count before each
+    // event is distinct and the cursors' sum names one candidate.
+    size_t want = 0;
+    for (NodeId n : table.activeNodes())
+        want += ptrs[static_cast<size_t>(n)];
+    std::vector<size_t> counts(ptrs.size(), 0);
+    size_t pos = table.rangeLo();
+    size_t pairs = 0;
+    for (; pairs < want && pos < table.rangeHi(); ++pos) {
+        const auto deps = table.dependents(pos);
+        for (uint32_t n : deps)
+            ++counts[n];
+        pairs += deps.size();
+    }
+    // Equal counts also rule out a sum that wrapped around.
+    for (NodeId n : table.activeNodes()) {
+        const size_t i = static_cast<size_t>(n);
+        if (counts[i] != ptrs[i])
+            return SIZE_MAX;
+    }
+    return pos;
 }
 
 size_t

@@ -8,6 +8,14 @@
  * events before it must be refreshed; the batch boundary is the
  * minimum last-tolerable event across nodes (inclusive).
  *
+ * The minimum is found by one forward sweep over the by-event table
+ * from the batch start: each event bumps the pointers of the nodes
+ * whose entry holds it, and the sweep stops at the first event that
+ * gives a non-stable node its (Max_r + 1)-th relevant event. That
+ * event is the minimum of entry[ptr + Max_r] over the nodes, so the
+ * lookup costs the batch's own (event, node) pairs, not a pass over
+ * every active node.
+ *
  * With a nonzero chunk size the event range is split into consecutive
  * chunks whose tables are built independently (dependencies truncated
  * at chunk boundaries) and optionally *pipelined*: chunk k+1's table
@@ -23,7 +31,6 @@
 #include <vector>
 
 #include "core/dependency_table.hh"
-#include "graph/adjacency.hh"
 #include "graph/event.hh"
 #include "util/queue.hh"
 
@@ -56,17 +63,14 @@ class TgDiffuser
     /**
      * @param src        training events (tables cover [0, train_end));
      *                   must outlive the diffuser
-     * @param adj        adjacency over src
      * @param train_end  number of training events
      */
-    TgDiffuser(const EventSource &src, const TemporalAdjacency &adj,
-               size_t train_end, Options opts);
+    TgDiffuser(const EventSource &src, size_t train_end, Options opts);
 
     /** Construct over a resident sequence (borrowed, not copied). */
-    TgDiffuser(const EventSequence &seq, const TemporalAdjacency &adj,
-               size_t train_end, Options opts)
-        : TgDiffuser(std::make_unique<VectorEventSource>(seq), adj,
-                     train_end, opts)
+    TgDiffuser(const EventSequence &seq, size_t train_end, Options opts)
+        : TgDiffuser(std::make_unique<VectorEventSource>(seq), train_end,
+                     opts)
     {}
 
     ~TgDiffuser();
@@ -137,8 +141,13 @@ class TgDiffuser
 
     /**
      * Restore a position written by saveState, rebuilding the active
-     * chunk's table if needed.
-     * @return false on node-count mismatch or short payload
+     * chunk's table if needed. The active chunk's cursors must be the
+     * relevant-event counts of every node before one event of the
+     * chunk, as saveState writes them; that position is where the
+     * next sweep resumes.
+     * @return false, with the diffuser unchanged, on a node-count
+     *         mismatch, a short payload, a bad chunk, or cursors that
+     *         are no such position (one past a node's entry, say)
      */
     bool loadState(ByteReader &r);
 
@@ -158,19 +167,24 @@ class TgDiffuser
     /** Enter chunk c: reset pointers, prefetch c+1. */
     void enterChunk(size_t c);
 
+    /**
+     * The sweep position in the current chunk that the cursors in
+     * `ptrs` describe, or SIZE_MAX if they describe none.
+     */
+    size_t positionOf(const DependencyTable &table,
+                      const std::vector<size_t> &ptrs) const;
+
     /** Adapter-owning delegate for the EventSequence convenience
      *  constructor: the wrapper must live as long as src_. */
-    TgDiffuser(std::unique_ptr<VectorEventSource> owned,
-               const TemporalAdjacency &adj, size_t train_end,
+    TgDiffuser(std::unique_ptr<VectorEventSource> owned, size_t train_end,
                Options opts)
-        : TgDiffuser(*owned, adj, train_end, opts)
+        : TgDiffuser(*owned, train_end, opts)
     {
         ownedSrc_ = std::move(owned);
     }
 
     std::unique_ptr<VectorEventSource> ownedSrc_;
     const EventSource &src_;
-    const TemporalAdjacency &adj_;
     size_t trainEnd_;
     Options opts_;
     size_t maxr_ = 8;
@@ -184,7 +198,22 @@ class TgDiffuser
     size_t pendingChunk_ = SIZE_MAX;
 
     size_t curChunk_ = SIZE_MAX;
-    std::vector<size_t> ptrs_; ///< per-node entry cursor
+    /** Per node: its relevant events in the current chunk before
+     *  swept_ (its entry cursor). Nodes outside the chunk keep
+     *  whatever an earlier chunk left; nothing reads them. */
+    std::vector<size_t> ptrs_;
+    /** First event of the current chunk not yet swept. */
+    size_t swept_ = 0;
+
+    /** Per node: the pointer value at which the node binds the
+     *  lookup numbered `lookup` (its pointer then, plus Max_r + 1). */
+    struct Barrier
+    {
+        uint64_t lookup = 0;
+        size_t at = 0;
+    };
+    std::vector<Barrier> barriers_;
+    uint64_t lookups_ = 0;
 
     double prepSeconds_ = 0.0;
     double lookupSeconds_ = 0.0;

@@ -602,7 +602,7 @@ TgnnModel::collectGradients(Forward &f)
     return flat;
 }
 
-void
+double
 TgnnModel::applyMergedGradients(const std::vector<float> &flat)
 {
     size_t off = 0;
@@ -617,7 +617,7 @@ TgnnModel::applyMergedGradients(const std::vector<float> &flat)
     }
     CASCADE_CHECK(off == flat.size(),
                   "applyMergedGradients: flat gradient size mismatch");
-    optimizer_->step();
+    return optimizer_->step();
 }
 
 size_t

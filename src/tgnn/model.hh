@@ -192,8 +192,9 @@ class TgnnModel
      * gradients and take one optimizer step. Applied to bit-identical
      * replicas with bit-identical flats, the replicas stay
      * bit-identical — the sharded determinism contract.
+     * @return the step's squared-gradient sum, in parameters() order
      */
-    void applyMergedGradients(const std::vector<float> &flat);
+    double applyMergedGradients(const std::vector<float> &flat);
 
     /** Scalars a flat gradient vector carries (== Adam's count). */
     size_t gradScalarCount() const;

@@ -62,12 +62,8 @@ mergeShardResults(std::vector<ShardResult> results)
     u.result.numEvents = total;
 
     u.grads.resize(scalars);
-    double grad_sq = 0.0;
-    for (size_t i = 0; i < scalars; ++i) {
+    for (size_t i = 0; i < scalars; ++i)
         u.grads[i] = static_cast<float>(acc[i]);
-        grad_sq += static_cast<double>(u.grads[i]) * u.grads[i];
-    }
-    u.result.gradNorm = std::sqrt(grad_sq);
 
     u.writebacks.reserve(results.size());
     for (ShardResult &r : results) {
@@ -81,8 +77,9 @@ StepResult
 applyMergedUpdate(TgnnModel &model, const EventSource &data,
                   MergedUpdate &update)
 {
-    model.applyMergedGradients(update.grads);
     StepResult result = update.result;
+    // The optimizer's pass returns the squared-gradient sum it read.
+    result.gradNorm = std::sqrt(model.applyMergedGradients(update.grads));
     for (TgnnModel::PendingWriteback &wb : update.writebacks) {
         std::vector<double> cos = model.applyWriteback(data, wb);
         result.updatedNodes.insert(result.updatedNodes.end(),
@@ -202,7 +199,6 @@ writeMergedUpdate(ByteWriter &w, const MergedUpdate &u)
 {
     w.f64(u.result.loss);
     w.u64(u.result.numEvents);
-    w.f64(u.result.gradNorm);
     w.u64(u.grads.size());
     if (!u.grads.empty())
         w.bytes(u.grads.data(), u.grads.size() * sizeof(float));
@@ -215,10 +211,8 @@ bool
 readMergedUpdate(ByteReader &r, MergedUpdate &out)
 {
     uint64_t events = 0, count = 0;
-    if (!r.f64(out.result.loss) || !r.u64(events) ||
-        !r.f64(out.result.gradNorm)) {
+    if (!r.f64(out.result.loss) || !r.u64(events))
         return false;
-    }
     out.result.numEvents = static_cast<size_t>(events);
     if (!readFloats(r, out.grads))
         return false;

@@ -72,8 +72,9 @@ struct ShardResult
  */
 struct MergedUpdate
 {
-    /** Merged accounting; updatedNodes/memCosine are filled by
-     *  applyMergedUpdate from the writebacks. */
+    /** Merged accounting; gradNorm (from the optimizer step) and
+     *  updatedNodes/memCosine (from the writebacks) are filled by
+     *  applyMergedUpdate. */
     StepResult result;
     /** Event-weighted gradient sum (parameters() order). */
     std::vector<float> grads;

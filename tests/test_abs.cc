@@ -43,9 +43,8 @@ TEST(Abs, ProfileProducesConsistentStats)
     DatasetSpec spec = wikiSpec(200.0);
     Rng rng(1);
     EventSequence seq = generateDataset(spec, rng);
-    TemporalAdjacency adj(seq);
     DependencyTable table =
-        DependencyTable::build(seq, adj, 0, seq.size());
+        DependencyTable::build(seq, 0, seq.size());
 
     AdaptiveBatchSensor abs(baseOptions(spec.baseBatch));
     EnduranceStats s = abs.profile(seq, table);
@@ -158,9 +157,8 @@ TEST(Abs, ProfileDeterministicForSeed)
     DatasetSpec spec = wikiSpec(300.0);
     Rng rng(3);
     EventSequence seq = generateDataset(spec, rng);
-    TemporalAdjacency adj(seq);
     DependencyTable table =
-        DependencyTable::build(seq, adj, 0, seq.size());
+        DependencyTable::build(seq, 0, seq.size());
 
     AdaptiveBatchSensor a(baseOptions(spec.baseBatch));
     AdaptiveBatchSensor b(baseOptions(spec.baseBatch));

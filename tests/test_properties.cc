@@ -13,10 +13,14 @@
 #include <unordered_set>
 
 #include "core/cascade_batcher.hh"
+#include "dependency_reference.hh"
 #include "graph/dataset.hh"
 #include "train/batcher.hh"
 
 using namespace cascade;
+using testref::bruteForceEntries;
+using testref::countIn;
+using testref::entriesOf;
 
 namespace {
 
@@ -133,13 +137,29 @@ TEST_P(EveryDataset, NeutronStreamDisjointEverywhere)
     }
 }
 
+TEST_P(EveryDataset, DependencyTableMatchesBruteForceEverywhere)
+{
+    Generated g(GetParam());
+    const size_t n = g.data.size();
+    for (auto [lo, hi] : {std::pair<size_t, size_t>{0, n},
+                          std::pair<size_t, size_t>{n / 3, n - n / 5}}) {
+        DependencyTable table = DependencyTable::build(g.data, lo, hi);
+        const auto got = entriesOf(table);
+        const auto ref = bruteForceEntries(g.data, lo, hi);
+        for (size_t node = 0; node < g.data.numNodes; ++node) {
+            ASSERT_EQ(got[node], ref[node])
+                << "node " << node << " in [" << lo << "," << hi << ")";
+        }
+    }
+}
+
 TEST_P(EveryDataset, CascadeEnduranceInvariantEverywhere)
 {
     Generated g(GetParam());
     const size_t n = g.data.size();
-    DependencyTable table = DependencyTable::build(g.data, g.adj, 0, n);
+    const auto entries = bruteForceEntries(g.data, 0, n);
     TgDiffuser::Options dopts;
-    TgDiffuser diffuser(g.data, g.adj, n, dopts);
+    TgDiffuser diffuser(g.data, n, dopts);
     const size_t maxr = 6;
     diffuser.setMaxRevisit(maxr);
 
@@ -147,15 +167,8 @@ TEST_P(EveryDataset, CascadeEnduranceInvariantEverywhere)
     size_t st = 0;
     while (st < n) {
         const size_t ed = diffuser.lastTolerableEnd(st, no_stable);
-        for (NodeId node : table.activeNodes()) {
-            const auto &entry = table.entry(node);
-            const auto lo = std::lower_bound(
-                entry.begin(), entry.end(),
-                static_cast<EventIdx>(st));
-            const auto hi = std::lower_bound(
-                entry.begin(), entry.end(),
-                static_cast<EventIdx>(ed));
-            ASSERT_LE(static_cast<size_t>(hi - lo), maxr + 1)
+        for (size_t node = 0; node < entries.size(); ++node) {
+            ASSERT_LE(countIn(entries[node], st, ed), maxr + 1)
                 << "node " << node << " in [" << st << "," << ed
                 << ")";
         }
@@ -173,8 +186,8 @@ TEST_P(EveryDataset, ChunkCountDoesNotChangePipelineEquivalence)
             n / chunks + 1;
         serial_opts.pipeline = false;
         piped_opts.pipeline = true;
-        TgDiffuser serial(g.data, g.adj, n, serial_opts);
-        TgDiffuser piped(g.data, g.adj, n, piped_opts);
+        TgDiffuser serial(g.data, n, serial_opts);
+        TgDiffuser piped(g.data, n, piped_opts);
         serial.setMaxRevisit(4);
         piped.setMaxRevisit(4);
 
@@ -192,8 +205,8 @@ TEST_P(EveryDataset, ChunkCountDoesNotChangePipelineEquivalence)
 TEST_P(EveryDataset, EnduranceProfileWithinBatchBounds)
 {
     Generated g(GetParam());
-    DependencyTable table =
-        DependencyTable::build(g.data, g.adj, 0, g.data.size());
+    const size_t n = g.data.size();
+    DependencyTable table = DependencyTable::build(g.data, 0, n);
     AdaptiveBatchSensor::Options aopts;
     aopts.baseBatch = g.spec.baseBatch;
     AdaptiveBatchSensor abs(aopts);
@@ -201,6 +214,30 @@ TEST_P(EveryDataset, EnduranceProfileWithinBatchBounds)
     EXPECT_GE(s.mrMin, 1.0);
     EXPECT_LE(s.mrMax, static_cast<double>(g.spec.baseBatch));
     EXPECT_GE(abs.currentMaxRevisit(), 1u);
+
+    // Profiling every batch, the stats equal the per-node reference:
+    // per batch, the most relevant events any of its endpoints has in
+    // the window, found by lower_bound in the node's entry.
+    aopts.sampleBatches = s.batchCount;
+    AdaptiveBatchSensor all(aopts);
+    const EnduranceStats got = all.profile(g.data, table);
+    const auto entries = bruteForceEntries(g.data, 0, n);
+    double sum = 0.0, mn = 1e30, mx = 0.0;
+    for (size_t st = 0; st < n; st += aopts.baseBatch) {
+        const size_t ed = std::min(n, st + aopts.baseBatch);
+        size_t most = 0;
+        for (size_t i = st; i < ed; ++i) {
+            for (NodeId node : {g.data.events[i].src, g.data.events[i].dst})
+                most = std::max(most, countIn(entries[node], st, ed));
+        }
+        sum += static_cast<double>(most);
+        mn = std::min(mn, static_cast<double>(most));
+        mx = std::max(mx, static_cast<double>(most));
+    }
+    EXPECT_EQ(got.batchCount, s.batchCount);
+    EXPECT_EQ(got.mrMean, sum / static_cast<double>(got.batchCount));
+    EXPECT_EQ(got.mrMin, std::max(1.0, mn));
+    EXPECT_EQ(got.mrMax, std::max(got.mrMin, mx));
 }
 
 namespace {

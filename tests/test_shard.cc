@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,32 @@ TEST(Collective, MergeIsArrivalOrderInvariant)
         EXPECT_EQ(a.grads[i], b.grads[i]) << "element " << i;
         EXPECT_EQ(a.grads[i], c.grads[i]) << "element " << i;
     }
+}
+
+TEST(Collective, GradNormIsTheSerialPassOverMergedGradients)
+{
+    // applyMergedUpdate takes gradNorm from the optimizer step's
+    // squared-gradient sum; it must be bit-equal to one serial double
+    // pass over the merged gradients in parameters() order.
+    Fixture f;
+    TgnnModel model(tgnConfig(16), f.spec.numNodes, f.data.featDim(), 7);
+    const size_t scalars = model.gradScalarCount();
+    Rng rng(5);
+    std::vector<ShardResult> results;
+    for (uint32_t shard = 0; shard < 3; ++shard) {
+        std::vector<float> grads(scalars);
+        for (float &g : grads)
+            g = static_cast<float>(rng.uniform(-1.0, 1.0));
+        results.push_back(
+            syntheticShard(shard, 0.5, 3 + shard, std::move(grads)));
+    }
+    MergedUpdate u = mergeShardResults(std::move(results));
+    double grad_sq = 0.0;
+    for (float g : u.grads)
+        grad_sq += static_cast<double>(g) * g;
+    const StepResult r = applyMergedUpdate(model, f.src, u);
+    EXPECT_EQ(r.gradNorm, std::sqrt(grad_sq));
+    EXPECT_GT(r.gradNorm, 0.0);
 }
 
 TEST(Collective, ShardResultWireFormatRoundTrips)
